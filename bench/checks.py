@@ -156,6 +156,14 @@ def check_close(xs, x_star, allowed, what):
     return []
 
 
+def check_relative(got, want, rel_tol, what):
+    """Every entry within rel_tol of want, relative to want's largest entry."""
+    err = float(np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want)))
+    if not err <= rel_tol:
+        return [f"{what}: relative error {err:.3g} against the closed form exceeds {rel_tol:g}"]
+    return []
+
+
 def check_grad_small(grad, tol, what):
     gnorm = float(np.linalg.norm(grad))
     if not gnorm <= tol:

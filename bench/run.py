@@ -111,7 +111,7 @@ def main(argv=None):
                 tally["attempted"] += 1
                 if res.failures:
                     tally["failed"] += 1
-                    tally["known" if op == workload.known_failure else "unexpected"] += res.failures
+                    tally["known" if workload.is_known(res.failures) else "unexpected"] += res.failures
                 if timed and math.isfinite(res.seconds):
                     (traced if traced_round else plain)[op].append(res.seconds)
 
@@ -164,11 +164,13 @@ def layer_metrics(tracer, plain, traced) -> dict:
 
 
 def peak_rss_mb() -> float:
-    """Peak resident set of this process plus that of its largest child
-    (a solve_parallel worker or a set-up launch); ru_maxrss is in KiB."""
+    """The larger of this process's peak resident set and its largest
+    child's (a solve_parallel worker or a set-up launch); ru_maxrss is in
+    KiB. A forked worker's peak already counts the pages it shares with
+    this process, so the two are not added."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + child) / 1024.0
+    return max(own, child) / 1024.0
 
 
 def env_stamp() -> dict:

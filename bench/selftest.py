@@ -8,8 +8,11 @@ operation's output once, and feeds the workload's checks both that output
 and perturbed copies of it: a stitched path shifted by 1e-3, a solve cut
 off at max_iters=5, a changed certificate constant, a bound below the
 observed error, a negative slack, a changed draw, a draw with the wrong
-moments and a changed observation hash. It prints one line per case and
-exits 1 if any check accepts a perturbed output or rejects a correct one.
+moments, a changed observation hash and a perturbed stationary Sigma0. On
+huber it also shows that only the known segment-0 failure is counted as
+known: a further shifted segment or a cut-off solve makes the run
+incorrect. It prints one line per case and exits 1 if any check accepts a
+perturbed output or rejects a correct one.
 """
 
 from __future__ import annotations
@@ -49,8 +52,7 @@ def check_solve_cases(w):
     report = vp.solve_map(w.model, w.config)
     expect(f"{w.name} solve, correct", checks.check_stopped_early(report, w.config, "solve")
            + w.check_solve(report), reject=False)
-    if w.par_reference is None:
-        w.par_reference = report.solution.blocks
+    w.reference = report.solution.blocks
     cut = dataclasses.replace(w.config, max_iters=5)
     early = vp.solve_map(w.model, cut)
     expect(f"{w.name} solve cut at max_iters=5, stop rule",
@@ -59,12 +61,29 @@ def check_solve_cases(w):
     return report.solution.blocks
 
 
-def check_par_cases(w, reject_correct=False):
-    stitched = vp.solve_parallel(w.par_model, w.plan, w.config, workers=2).stitched.blocks
-    expect(f"{w.name} solve_par, library output", w.check_solve_par(stitched),
-           reject=reject_correct)
+def unexpected(w, failures):
+    """The failures that make a run incorrect: all but the known one."""
+    return [] if w.is_known(failures) else failures
+
+
+def check_par_cases(w):
+    report = vp.solve_parallel(w.model, w.plan, w.config, workers=2)
+    failures = w.solve_par_failures(report, w.config)
+    expect(f"{w.name} solve_par, library output", failures, reject=w.known_failure is not None)
+    expect(f"{w.name} solve_par, library output, beyond the known failure",
+           unexpected(w, failures), reject=False)
+    stitched = report.stitched.blocks
     expect(f"{w.name} solve_par shifted by 1e-3", w.check_solve_par(shifted(stitched)),
            reject=True)
+    lo, hi = w.plan.segments[2]
+    moved = stitched.copy()
+    moved[lo:hi] += 1e-3
+    expect(f"{w.name} solve_par with segment 2 shifted by 1e-3, beyond the known failure",
+           unexpected(w, w.check_solve_par(moved)), reject=True)
+    cut = dataclasses.replace(w.config, max_iters=5)
+    early = vp.solve_parallel(w.model, w.plan, cut, workers=2)
+    expect(f"{w.name} solve_par cut at max_iters=5, beyond the known failure",
+           unexpected(w, w.solve_par_failures(early, cut)), reject=True)
 
 
 def check_certify_cases(w):
@@ -98,6 +117,18 @@ def check_simulate_cases(w, wrong_moments):
            reject=True)
 
 
+def check_initial_variance_cases(w):
+    expect(f"{w.name} stationary Sigma0 as built", w.check_initial_variance(), reject=False)
+    model = w.model
+    sig = model.signal
+    w.model = vp.ModelSpec(vp.LinearGaussianSignal(sig.A, sig.b, sig.Sigma, sig.b0,
+                                                   sig.Sigma0 * (1.0 + 1e-3)),
+                           model.likelihood, observations=model.observations, chi=model.chi)
+    expect(f"{w.name} solve with Sigma0 scaled by 1.001",
+           w.check_solve(vp.solve_map(w.model, w.config)), reject=True)
+    w.model = model
+
+
 def check_setup_cases(w):
     res = w.op_setup(None)
     expect(f"{w.name} setup, correct", res.failures, reject=False)
@@ -123,12 +154,14 @@ def main():
                 wrong = lambda xs, ys: (xs, indep)  # noqa: E731
             check_simulate_cases(w, wrong)
             solution = check_solve_cases(w)
-            check_par_cases(w, reject_correct=w.known_failure == "solve_par")
+            check_par_cases(w)
             check_certify_cases(w)
+            if hasattr(w, "check_initial_variance"):
+                check_initial_variance_cases(w)
             if name == "huber":
                 # the known failure is the flat-start boundary mode's: with the
                 # full prior on the windows the same check passes
-                stitched = vp.solve_parallel(w.par_model, w.plan, w.config, workers=2,
+                stitched = vp.solve_parallel(w.model, w.plan, w.config, workers=2,
                                              boundary_mode="full-prior").stitched.blocks
                 expect("huber solve_par with full-prior windows", w.check_solve_par(stitched),
                        reject=False)

@@ -1,14 +1,14 @@
 """Run workloads k times on one commit and print each metric's spread.
 
-    python3 bench/spread.py --k 10 --seconds 25 [--workloads desk,huber,spikes]
-                            [--first-seed 1] [--trace 0]
+    python3 bench/spread.py --k 10 --seconds 25
 
-Each run is ``bench/run.py`` with its own seed (first-seed, first-seed+1,
-...). For every workload and metric this prints the median, the first and
-third quartiles (``statistics.quantiles(values, n=4)``) and the spread,
-(q3 - q1) / median. The spread of the end-to-end metrics is what their
-bounds in BENCHMARK.json are set from; see README.md. It also prints each
-workload's failed share, which must be the same in every run.
+Each run is ``bench/run.py --trace 0`` with its own seed, 1 to k, on
+every workload in BENCHMARK.json. For every workload and end-to-end
+metric this prints the median, the first and third quartiles
+(``statistics.quantiles(values, n=4)``) and the spread, (q3 - q1) /
+median, which the bounds in BENCHMARK.json are set from; see README.md.
+It also prints each workload's failed share, which must be the same in
+every run.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 
 
-def run_once(workload, seed, seconds, trace):
+def run_once(workload, seed, seconds):
     cmd = [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -37,23 +37,17 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--seconds", type=float, default=25)
-    p.add_argument("--workloads", default=None, help="comma-separated; default all in BENCHMARK.json")
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
-    if args.workloads:
-        workloads = args.workloads.split(",")
-    else:
-        with open(ROOT / "BENCHMARK.json") as fh:
-            workloads = [w["name"] for w in json.load(fh)["workloads"]]
+    with open(ROOT / "BENCHMARK.json") as fh:
+        workloads = [w["name"] for w in json.load(fh)["workloads"]]
 
     for workload in workloads:
         results = []
-        for i in range(args.k):
-            res = run_once(workload, args.first_seed + i, args.seconds, args.trace)
+        for seed in range(1, args.k + 1):
+            res = run_once(workload, seed, args.seconds)
             results.append(res)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in res["metrics"].items())
-            print(f"# {workload} seed {args.first_seed + i}: correct={res['correct']} "
+            print(f"# {workload} seed {seed}: correct={res['correct']} "
                   f"attempted={res['attempted']} failed={res['failed']} {values}", flush=True)
         shares = sorted({r["failed"] / r["attempted"] for r in results})
         correct = all(r["correct"] for r in results)
