@@ -29,8 +29,6 @@ from .models import (
     NeuralExact,
     neural_pseudo_field,
     ModelSpec,
-    grad_phi,
-    grad_phi_tilde,
     beta_m,
     alpha_gamma_n,
     eta_bound,
@@ -39,8 +37,9 @@ from .models import (
 from .objective import (
     eval_U,
     grad_U,
-    grad_U_windowed,
     WindowedObjective,
+    grad_phi,
+    grad_phi_tilde,
     hessian_quadratic_form,
 )
 from .solver import SolverConfig, SolveReport, solve_map, solve_windowed, estimate_grad_lipschitz
@@ -95,7 +94,6 @@ __all__ = [
     "simulate",
     "eval_U",
     "grad_U",
-    "grad_U_windowed",
     "WindowedObjective",
     "hessian_quadratic_form",
     "SolverConfig",

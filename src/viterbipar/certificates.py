@@ -25,8 +25,8 @@ import numpy as np
 from .core import GammaWeight, gamma_weights
 from .errors import CertificationError
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
-from .models.spec import ModelSpec, _beta_array, eta_bound
-from .objective import _grad_U_blocks
+from .models.spec import ModelSpec, _beta_array, alpha_gamma_n, eta_bound
+from .objective import FullObjective
 
 __all__ = [
     "GammaInterval",
@@ -234,19 +234,12 @@ def viterbi_distance_bound_eta(
     model.require_horizon(tail_horizon)
     beta = _beta_array(model, tail_horizon)
     w = GammaWeight(gamma)
-    alpha = _alpha_from_beta(beta, gamma, n)
+    alpha = alpha_gamma_n(model, w, n)
     lam2 = lam * lam
     term1 = gamma ** n / lam2 * eta_bound(model, n, alpha / lam2, w)
     term2 = gamma ** (n + 1) / lam2 * eta_bound(model, n + 1, gamma * alpha / lam2, w)
     term3 = _beta_tail(beta, gamma, n + 2) / lam2
     return term1 + term2 + term3
-
-
-def _alpha_from_beta(beta: np.ndarray, gamma: float, n: int) -> float:
-    acc = 0.0
-    for m in range(n + 1):
-        acc = acc * gamma + beta[m]
-    return acc
 
 
 def viterbi_distance_bound_chi(
@@ -262,7 +255,7 @@ def viterbi_distance_bound_chi(
         raise ValueError("tail_horizon must be at least n")
     model.require_horizon(tail_horizon)
     beta = _beta_array(model, tail_horizon)
-    alpha = _alpha_from_beta(beta, gamma, n)
+    alpha = alpha_gamma_n(model, GammaWeight(gamma), n)
     lam2 = lam * lam
     lead = gamma ** (n - 1) * alpha * 2.0 * model.chi / lam2
     return (lead + _beta_tail(beta, gamma, n)) / lam2
@@ -291,7 +284,7 @@ def segment_overlap_error_bound(
         raise ValueError("tail_horizon must be at least delta")
     model.require_horizon(Delta + tail_horizon)
     beta = _beta_array(model, Delta + tail_horizon)
-    alpha = _alpha_from_beta(beta, gamma, Delta + delta)
+    alpha = alpha_gamma_n(model, GammaWeight(gamma), Delta + delta)
     lam2 = lam * lam
     lead = gamma ** (delta - 1) * 2.0 * model.chi * alpha / lam2
     return (lead + _beta_tail(beta, gamma, delta, offset=Delta)) / lam2
@@ -332,6 +325,7 @@ def empirical_decay_convexity(
         g, l = _require_chosen(cert)
         gamma = g if gamma is None else gamma
         lam = l if lam is None else lam
+    grad_U = FullObjective(model).grad
     rng = np.random.default_rng(seed)
     n_blocks = model.horizon + 1
     d = model.dim
@@ -343,7 +337,7 @@ def empirical_decay_convexity(
         xs = rng.standard_normal((n_blocks, d)) * scale
         ys = rng.standard_normal((n_blocks, d)) * scale
         dx = xs - ys
-        dg = _grad_U_blocks(model, xs) - _grad_U_blocks(model, ys)
+        dg = grad_U(xs) - grad_U(ys)
         inner = float(np.einsum("md,md->m", dx, dg) @ weights)
         sq = float(np.einsum("md,md->m", dx, dx) @ weights)
         slack = inner - lam * sq

@@ -34,9 +34,9 @@ from .errors import (
     UnsupportedBoundError,
     UnsupportedModeError,
 )
-from .models.likelihoods import GaussianEmission, NeuralExact, NeuralPseudo
+from .models.likelihoods import GaussianEmission
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
-from .models.spec import ModelSpec, simulate
+from .models.spec import _NEURAL, ModelSpec, simulate
 from .objective import eval_U, grad_U
 from .oracles import finite_diff_grad, rts_smoother
 from .parallel import solve_parallel, sweep_delta, worker_count_from_env
@@ -46,8 +46,6 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 EXIT_CERTIFICATION = 5
-
-_NEURAL = (NeuralPseudo, NeuralExact)
 
 
 def _echo_json(payload):
@@ -185,7 +183,10 @@ def solve_cmd(model_path, obs_path, out_dir, step_mode, step_size, max_iters, gr
 @click.option("--l", "num_segments", required=True, type=int, help="number of segments")
 @click.option("--delta", required=True, type=int, help="overlap added on both sides of each segment")
 @click.option("--workers", type=int, default=None, help="worker processes (default VITERBI_PAR_WORKERS or 1)")
-@click.option("--boundary-mode", type=click.Choice(["marginal-prior", "flat-start", "full-prior"]), default=None)
+@click.option("--boundary-mode", type=click.Choice(["marginal-prior", "flat-start", "full-prior"]), default=None,
+              help="start term of the windows that begin after index 0 (the first window always "
+                   "carries the initial density); default marginal-prior when the signal has "
+                   "closed-form marginals, else flat-start")
 @solver_options
 @handle_errors
 def solve_par_cmd(model_path, obs_path, out_dir, num_segments, delta, workers, boundary_mode,

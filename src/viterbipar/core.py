@@ -7,6 +7,7 @@ path stands for the infinite sequence obtained by zero padding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,11 @@ def gamma_weights(n_blocks: int, gamma: float) -> np.ndarray:
     return w
 
 
+def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
+    """sqrt(sum_m weights[m] |blocks[m]|^2)."""
+    return math.sqrt(float(np.einsum("md,md->m", blocks, blocks) @ weights))
+
+
 def gamma_inner(x: PathVector, y: PathVector, w: GammaWeight) -> float:
     """Discounted inner product sum_m gamma^m <x_m, y_m>."""
     _check_same_shape(x, y)
@@ -114,8 +120,7 @@ def gamma_inner(x: PathVector, y: PathVector, w: GammaWeight) -> float:
 
 def gamma_norm(x: PathVector, w: GammaWeight) -> float:
     """Discounted norm, the square root of ``gamma_inner(x, x, w)``."""
-    per_block = np.einsum("md,md->m", x.blocks, x.blocks)
-    return float(np.sqrt(per_block @ gamma_weights(per_block.shape[0], w.gamma)))
+    return _weighted_norm(x.blocks, gamma_weights(x.blocks.shape[0], w.gamma))
 
 
 def weighted_norm_at(x: PathVector, center_n: int, w: GammaWeight) -> float:
@@ -126,9 +131,7 @@ def weighted_norm_at(x: PathVector, center_n: int, w: GammaWeight) -> float:
     if center_n < 0:
         raise ValueError(f"center index must be nonnegative, got {center_n}")
     m = np.arange(x.blocks.shape[0])
-    weights = float(w.gamma) ** np.abs(m - center_n)
-    per_block = np.einsum("md,md->m", x.blocks, x.blocks)
-    return float(np.sqrt(per_block @ weights))
+    return _weighted_norm(x.blocks, float(w.gamma) ** np.abs(m - center_n))
 
 
 @dataclass(frozen=True)

@@ -16,14 +16,10 @@ from .likelihoods import (
     NeuralPseudo,
     NeuralExact,
     neural_pseudo_field,
-    pair_index,
-    pair_list,
     coupling_matrix,
 )
 from .spec import (
     ModelSpec,
-    grad_phi,
-    grad_phi_tilde,
     beta_m,
     alpha_gamma_n,
     eta_bound,
@@ -44,12 +40,8 @@ __all__ = [
     "NeuralPseudo",
     "NeuralExact",
     "neural_pseudo_field",
-    "pair_index",
-    "pair_list",
     "coupling_matrix",
     "ModelSpec",
-    "grad_phi",
-    "grad_phi_tilde",
     "beta_m",
     "alpha_gamma_n",
     "eta_bound",

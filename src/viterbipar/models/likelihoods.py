@@ -2,17 +2,18 @@
 
 Each family exposes the same array-level interface:
 
-``log_terms(xs, ys, t0)``
-    per-index log g(x_m, y_m) for a contiguous run of time indices
-    starting at absolute index ``t0`` (only the factor model cares about
-    the offset, through its stored factor series);
-``grad(xs, ys, t0)``
+``log_terms(xs, ys)``
+    per-index log g(x_m, y_m) for the time indices 0..len-1;
+``grad(xs, ys)``
     the block gradients of those terms with respect to x_m;
-``sample(xs, t0, rng)``
+``sample(xs, rng)``
     observation draws given a state path.
 
-``ys`` is the matching observation slice: an (len, p) array for vector
-emissions, or an (len, R, N) binary array for the spiking families.
+``ys`` holds the matching observations: an (len, p) array for vector
+emissions, or an (len, R, N) binary array for the spiking families. A
+family that stores a time series of its own (the factor model's factors)
+reads it from index 0, so a later stretch of time is a family built on
+the sliced series (see ``ModelSpec.window``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from ..errors import CertificationError, ShapeError
+from .signals import _LOG_2PI, _is_diagonal
 
 __all__ = [
     "GaussianEmission",
@@ -32,17 +34,8 @@ __all__ = [
     "NeuralPseudo",
     "NeuralExact",
     "neural_pseudo_field",
-    "pair_index",
-    "pair_list",
     "coupling_matrix",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
-def _is_diagonal(M: np.ndarray) -> bool:
-    return np.count_nonzero(M - np.diag(np.diag(M))) == 0
-
 
 class GaussianEmission:
     """y_m = C x_m + N(0, R) noise. The conjugate, oracle-checkable family."""
@@ -80,7 +73,7 @@ class GaussianEmission:
             return ys - xs * self._c_d
         return ys - xs @ self.C.T
 
-    def log_terms(self, xs, ys, t0=0):
+    def log_terms(self, xs, ys):
         r = self.residuals(xs, ys)
         if self._diag:
             q = np.sum(r * r * self._ri_d, axis=1)
@@ -88,13 +81,13 @@ class GaussianEmission:
             q = np.einsum("mp,mp->m", r @ self.R_inv, r)
         return -0.5 * (q + self._logdet_R + self.obs_dim * _LOG_2PI)
 
-    def grad(self, xs, ys, t0=0):
+    def grad(self, xs, ys):
         r = self.residuals(xs, ys)
         if self._diag:
             return r * self._ri_d * self._c_d
         return r @ self.RinvC
 
-    def sample(self, xs, t0, rng):
+    def sample(self, xs, rng):
         noise = rng.standard_normal((xs.shape[0], self.obs_dim)) @ self._chol_R.T
         return xs @ self.C.T + noise
 
@@ -121,17 +114,17 @@ class StudentTEmission:
     def state_dim(self) -> int | None:
         return None  # matches any d; obs dim equals state dim
 
-    def log_terms(self, xs, ys, t0=0):
+    def log_terms(self, xs, ys):
         v = self.dof
         r = ys - xs
         return -0.5 * (v + 1) * np.sum(np.log1p(r * r / v), axis=1) + self._log_const(xs.shape[1])
 
-    def grad(self, xs, ys, t0=0):
+    def grad(self, xs, ys):
         v = self.dof
         r = ys - xs
         return (v + 1) * r / (v + r * r)
 
-    def sample(self, xs, t0, rng):
+    def sample(self, xs, rng):
         return xs + rng.standard_t(self.dof, size=xs.shape)
 
 
@@ -158,49 +151,31 @@ class StochVolFactor:
     def state_dim(self) -> int | None:
         return self.B.shape[0]
 
-    def _check_range(self, t0, length):
-        if t0 + length > self.factor_means.shape[0]:
+    def _means(self, length):
+        """B z_m for m = 0..length-1; the factors must cover them."""
+        if length > self.factor_means.shape[0]:
             raise ShapeError(
-                f"factors cover {self.factor_means.shape[0]} indices, "
-                f"need {t0 + length}"
+                f"factors cover {self.factor_means.shape[0]} indices, need {length}"
             )
+        return self.factor_means[:length]
 
-    def log_terms(self, xs, ys, t0=0):
-        self._check_range(t0, xs.shape[0])
-        r = ys - self.factor_means[t0 : t0 + xs.shape[0]]
+    def log_terms(self, xs, ys):
+        r = ys - self._means(xs.shape[0])
         d = xs.shape[1]
         return -0.5 * (np.sum(xs, axis=1) + np.sum(r * r * np.exp(-xs), axis=1) + d * _LOG_2PI)
 
-    def grad(self, xs, ys, t0=0):
-        self._check_range(t0, xs.shape[0])
-        r = ys - self.factor_means[t0 : t0 + xs.shape[0]]
+    def grad(self, xs, ys):
+        r = ys - self._means(xs.shape[0])
         return 0.5 * (r * r * np.exp(-xs) - 1.0)
 
-    def sample(self, xs, t0, rng):
-        self._check_range(t0, xs.shape[0])
+    def sample(self, xs, rng):
         eps = rng.standard_normal(xs.shape)
-        return self.factor_means[t0 : t0 + xs.shape[0]] + np.exp(0.5 * xs) * eps
-
-    def sliced(self, t1):
-        """Copy with the factor series truncated to the first t1 indices."""
-        return StochVolFactor(self.B, self.factors[:t1])
+        return self._means(xs.shape[0]) + np.exp(0.5 * xs) * eps
 
 
 # ---------------------------------------------------------------------------
 # Pairwise neural coupling families
 # ---------------------------------------------------------------------------
-
-def pair_list(N: int) -> np.ndarray:
-    """Ordered pairs (i, j), i < j, matching the flat coupling layout."""
-    return np.array([(i, j) for i in range(N) for j in range(i + 1, N)], dtype=int)
-
-
-def pair_index(i: int, j: int, N: int) -> int:
-    """Flat index of coupling (i, j) with i < j."""
-    if not (0 <= i < j < N):
-        raise IndexError(f"need 0 <= i < j < N, got ({i}, {j}) with N={N}")
-    return i * N - i * (i + 1) // 2 + (j - i - 1)
-
 
 def coupling_matrix(x: np.ndarray, N: int) -> np.ndarray:
     """Symmetric zero-diagonal coupling matrix from the flat vector x."""
@@ -252,14 +227,6 @@ class _NeuralBase:
     def n_times(self) -> int:
         return self.spikes.shape[0]
 
-    def centered(self, t0, length):
-        if t0 + length > self.n_times:
-            raise ShapeError(f"spikes cover {self.n_times} bins, need {t0 + length}")
-        return self.spikes[t0 : t0 + length] - self.rates_c
-
-    def sliced(self, t1):
-        return type(self)(self.N, self.R, rates_c=self.rates_c, spikes=self.spikes[:t1])
-
 
 class NeuralPseudo(_NeuralBase):
     """Pseudo-likelihood for pairwise spike coupling.
@@ -274,7 +241,7 @@ class NeuralPseudo(_NeuralBase):
         yc = spikes_n - self.rates_c
         return (yc @ X) / self.R
 
-    def log_terms(self, xs, ys, t0=0):
+    def log_terms(self, xs, ys):
         out = np.empty(xs.shape[0])
         for m in range(xs.shape[0]):
             z = self.fields(xs[m], ys[m])
@@ -282,7 +249,7 @@ class NeuralPseudo(_NeuralBase):
             out[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
         return out
 
-    def grad(self, xs, ys, t0=0):
+    def grad(self, xs, ys):
         out = np.empty((xs.shape[0], self.d))
         for m in range(xs.shape[0]):
             z = self.fields(xs[m], ys[m])
@@ -292,7 +259,7 @@ class NeuralPseudo(_NeuralBase):
             out[m] = _flat_upper(M + M.T) / self.R
         return out
 
-    def sample(self, xs, t0, rng):
+    def sample(self, xs, rng):
         return _sample_exact_field(self, xs, rng)
 
 
@@ -336,19 +303,19 @@ class NeuralExact(_NeuralBase):
         yc = spikes_n - self.rates_c
         return _flat_upper(yc.T @ yc) / self.R
 
-    def log_terms(self, xs, ys, t0=0):
+    def log_terms(self, xs, ys):
         out = np.empty(xs.shape[0])
         for m in range(xs.shape[0]):
             out[m] = float(xs[m] @ self._suff(ys[m])) - self.log_normalizer(xs[m])
         return out
 
-    def grad(self, xs, ys, t0=0):
+    def grad(self, xs, ys):
         out = np.empty((xs.shape[0], self.d))
         for m in range(xs.shape[0]):
             out[m] = self._suff(ys[m]) - self.normalizer_grad(xs[m])
         return out
 
-    def sample(self, xs, t0, rng):
+    def sample(self, xs, rng):
         return _sample_exact_field(self, xs, rng)
 
 

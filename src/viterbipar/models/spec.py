@@ -1,8 +1,8 @@
 """The assembled state-space model and its gradient bookkeeping.
 
 Bundles a signal prior with a likelihood family and the observation
-series, and provides the local log-density gradients plus the beta /
-alpha / eta quantities that feed the accuracy certificates.
+series, slices it in time, and provides the beta / alpha / eta
+quantities that feed the accuracy certificates.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .signals import LinearGaussianSignal
 
 __all__ = [
     "ModelSpec",
-    "grad_phi",
-    "grad_phi_tilde",
     "beta_m",
     "alpha_gamma_n",
     "eta_bound",
@@ -119,16 +117,24 @@ class ModelSpec:
         if n > self.horizon:
             raise ShapeError(f"index {n} beyond observation horizon {self.horizon}")
 
-    def prefix(self, n: int) -> "ModelSpec":
-        """Model restricted to the first n+1 observation indices."""
-        self.require_horizon(n)
+    def window(self, a: int, b: int) -> "ModelSpec":
+        """Model of the time indices a..b (inclusive), re-indexed from 0.
+
+        The signal is shared; the observations, and the series a family
+        stores itself (spikes, factors), are sliced. The full range
+        (0, horizon) returns the model itself.
+        """
+        if not 0 <= a <= b <= self.horizon:
+            raise ShapeError(f"window ({a}, {b}) must lie inside 0..{self.horizon}")
+        if a == 0 and b == self.horizon:
+            return self
+        obs = self.observations[a : b + 1]
         lik = self.likelihood
         if isinstance(lik, _NEURAL):
-            lik = lik.sliced(n + 1)
-            return ModelSpec(self.signal, lik, observations=None, chi=self.chi)
+            return self.with_observations(obs)
         if isinstance(lik, StochVolFactor):
-            lik = lik.sliced(n + 1)
-        return ModelSpec(self.signal, lik, observations=self.observations[: n + 1], chi=self.chi)
+            lik = StochVolFactor(lik.B, lik.factors[a : b + 1])
+        return ModelSpec(self.signal, lik, observations=obs, chi=self.chi)
 
     def with_observations(self, obs) -> "ModelSpec":
         if isinstance(self.likelihood, _NEURAL):
@@ -143,65 +149,16 @@ class ModelSpec:
 
     # -- likelihood plumbing ----------------------------------------------
 
-    def obs_slice(self, t0: int, t1: int) -> np.ndarray:
-        if t1 > self.horizon + 1:
-            raise ShapeError(f"observation slice [{t0}, {t1}) beyond horizon {self.horizon}")
-        return self.observations[t0:t1]
+    def _obs_for(self, xs: np.ndarray) -> np.ndarray:
+        """Observations at indices 0..len(xs)-1."""
+        self.require_horizon(xs.shape[0] - 1)
+        return self.observations[: xs.shape[0]]
 
-    def log_g_terms(self, xs: np.ndarray, t0: int = 0) -> np.ndarray:
-        return self.likelihood.log_terms(xs, self.obs_slice(t0, t0 + xs.shape[0]), t0)
+    def log_g_terms(self, xs: np.ndarray) -> np.ndarray:
+        return self.likelihood.log_terms(xs, self._obs_for(xs))
 
-    def grad_log_g(self, xs: np.ndarray, t0: int = 0) -> np.ndarray:
-        return self.likelihood.grad(xs, self.obs_slice(t0, t0 + xs.shape[0]), t0)
-
-
-# ---------------------------------------------------------------------------
-# Local gradients of the summed log densities
-# ---------------------------------------------------------------------------
-
-def _as_blocks(x) -> np.ndarray:
-    return x.blocks if isinstance(x, PathVector) else np.asarray(x, dtype=float)
-
-
-def grad_phi(model: ModelSpec, x, index_n: int) -> np.ndarray:
-    """Gradient, with respect to block n, of the interior local sum
-    log f(x_{n-1}, x_n) + log f(x_n, x_{n+1}) + log g(x_n, y_n).
-
-    Valid for 1 <= n <= horizon - 1; the boundary blocks use
-    :func:`grad_phi_tilde`.
-    """
-    xs = _as_blocks(x)
-    n = int(index_n)
-    if not 1 <= n <= xs.shape[0] - 2:
-        raise IndexError(f"interior index must satisfy 1 <= n <= {xs.shape[0] - 2}, got {n}")
-    model.require_horizon(n)
-    sig = model.signal
-    g = sig.grad_log_f_wrt_next(xs[n - 1], xs[n])
-    g = g + sig.grad_log_f_wrt_prev(xs[n], xs[n + 1])
-    g = g + model.grad_log_g(xs[n : n + 1], t0=n)[0]
-    return g
-
-
-def grad_phi_tilde(model: ModelSpec, x, index_n: int) -> np.ndarray:
-    """Gradient, with respect to block n, of the boundary local sum.
-
-    Index 0 bundles the initial density, the forward transition (when a
-    next block exists) and the emission; index n >= 1 bundles the backward
-    transition and the emission.
-    """
-    xs = _as_blocks(x)
-    n = int(index_n)
-    if not 0 <= n <= xs.shape[0] - 1:
-        raise IndexError(f"index must satisfy 0 <= n <= {xs.shape[0] - 1}, got {n}")
-    model.require_horizon(n)
-    sig = model.signal
-    if n == 0:
-        g = sig.grad_log_mu(xs[0])
-        if xs.shape[0] > 1:
-            g = g + sig.grad_log_f_wrt_prev(xs[0], xs[1])
-    else:
-        g = sig.grad_log_f_wrt_next(xs[n - 1], xs[n])
-    return g + model.grad_log_g(xs[n : n + 1], t0=n)[0]
+    def grad_log_g(self, xs: np.ndarray) -> np.ndarray:
+        return self.likelihood.grad(xs, self._obs_for(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -217,27 +174,21 @@ def _beta_array(model: ModelSpec, upto: int) -> np.ndarray:
     blocks); every interior index takes the max over both branches.
     """
     model.require_horizon(upto)
-    horizon = model.horizon
     d = model.dim
     sig = model.signal
-    zeros_d = np.zeros(d)
-    zero_path = np.zeros((upto + 1, d))
-    gk = model.grad_log_g(zero_path, t0=0)  # likelihood gradients at the zero path
+    # the transition gradient on a zero 3-block path: block 0 carries the
+    # forward transition only, block 1 both, block 2 the backward only
+    fwd, both, bwd = sig.grad_log_transitions(np.zeros((3, d)))
+    gk = model.grad_log_g(np.zeros((upto + 1, d)))
 
-    fwd = sig.grad_log_f_wrt_prev(zeros_d, zeros_d)   # d/dx_n log f(x_n, x_{n+1}) at 0
-    bwd = sig.grad_log_f_wrt_next(zeros_d, zeros_d)   # d/dx_n log f(x_{n-1}, x_n) at 0
-    mu0 = sig.grad_log_mu(zeros_d)
-
-    beta = np.empty(upto + 1)
-    g_tilde0 = mu0 + (fwd if horizon >= 1 else 0.0) + gk[0]
-    beta[0] = float(g_tilde0 @ g_tilde0)
-    for m in range(1, upto + 1):
-        g_tilde = bwd + gk[m]
-        val = float(g_tilde @ g_tilde)
-        if m < horizon:
-            g_int = bwd + fwd + gk[m]
-            val = max(val, float(g_int @ g_int))
-        beta[m] = val
+    tilde = bwd + gk
+    tilde[0] = sig.grad_log_mu(np.zeros(d)) + (fwd if model.horizon >= 1 else 0.0) + gk[0]
+    beta = np.einsum("md,md->m", tilde, tilde)
+    last = min(upto, model.horizon - 1)
+    if last >= 1:
+        inner = both + gk[1 : last + 1]
+        np.maximum(beta[1 : last + 1], np.einsum("md,md->m", inner, inner),
+                   out=beta[1 : last + 1])
     return beta
 
 
@@ -333,5 +284,5 @@ def simulate(model: ModelSpec, horizon: int, seed: int) -> tuple[PathVector, np.
     """
     rng = np.random.default_rng(seed)
     xs = model.signal.sample_path(int(horizon), rng)
-    ys = model.likelihood.sample(xs, 0, rng)
+    ys = model.likelihood.sample(xs, rng)
     return PathVector(xs), ys

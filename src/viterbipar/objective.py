@@ -1,16 +1,15 @@
-"""Negative log posterior assembly: values, block gradients, windowed
-variants for segment subproblems, and Hessian quadratic forms.
+"""Negative log posterior assembly: values and block gradients of a window
+of the chain, the full-path problem as the window (0, n), the phi-style
+local gradients as blocks of small windows, and Hessian quadratic forms.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import GammaWeight, PathVector, gamma_weights
+from .core import GammaWeight, PathVector, _weighted_norm, gamma_weights
 from .errors import ShapeError, UnsupportedModeError
+from .models.signals import _LOG_2PI
 from .models.spec import ModelSpec
 
 __all__ = [
@@ -18,111 +17,49 @@ __all__ = [
     "grad_U",
     "WindowedObjective",
     "FullObjective",
-    "grad_U_windowed",
+    "grad_phi",
+    "grad_phi_tilde",
     "hessian_quadratic_form",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 BOUNDARY_MODES = ("full-prior", "marginal-prior", "flat-start")
 
 
-def _as_blocks(model: ModelSpec, x) -> np.ndarray:
-    xs = x.blocks if isinstance(x, PathVector) else np.asarray(x, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != model.dim:
-        raise ShapeError(f"path must be (n+1, {model.dim}), got {xs.shape}")
-    return xs
-
-
-def eval_U(model: ModelSpec, x) -> float:
-    """Value of the negative log posterior for the full path.
-
-    Includes every normalization constant of the densities involved, so
-    values are comparable across runs of the same family.
-    """
-    xs = _as_blocks(model, x)
-    if xs.shape[0] != model.horizon + 1:
-        raise ShapeError(
-            f"path has {xs.shape[0]} blocks, observations have {model.horizon + 1}"
-        )
-    val = model.signal.log_mu(xs[0]) + model.signal.log_f_sum(xs)
-    val += float(np.sum(model.log_g_terms(xs, t0=0)))
-    return -val
-
-
-def _grad_U_blocks(model: ModelSpec, xs: np.ndarray) -> np.ndarray:
-    return -(model.signal.grad_log_prior(xs) + model.grad_log_g(xs, t0=0))
-
-
-def grad_U(model: ModelSpec, x) -> PathVector:
-    """Block gradient of the negative log posterior.
-
-    Block m is minus the local log-density gradient (boundary blocks use
-    the boundary-style local sums).
-    """
-    xs = _as_blocks(model, x)
-    if xs.shape[0] != model.horizon + 1:
-        raise ShapeError(
-            f"path has {xs.shape[0]} blocks, observations have {model.horizon + 1}"
-        )
-    return PathVector(_grad_U_blocks(model, xs))
-
-
-# ---------------------------------------------------------------------------
-# Objective adapters used by the solvers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FullObjective:
-    """Adapter presenting the full-path problem to the solvers."""
-
-    model: ModelSpec
-
-    @property
-    def n_blocks(self) -> int:
-        return self.model.horizon + 1
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
-
-    def value(self, xs: np.ndarray) -> float:
-        return eval_U(self.model, xs)
-
-    def grad(self, xs: np.ndarray) -> np.ndarray:
-        return _grad_U_blocks(self.model, xs)
+def _as_blocks(x) -> np.ndarray:
+    return x.blocks if isinstance(x, PathVector) else np.asarray(x, dtype=float)
 
 
 class WindowedObjective:
     """Negative log posterior of a contiguous window of time indices.
 
-    ``window`` is the inclusive index pair (a, b). The start-of-window
-    prior term is selected by ``boundary_mode``:
+    ``window`` is the inclusive index pair (a, b). A window that starts at
+    index 0 carries the initial density log mu(x_0) whatever the mode. For
+    a > 0 the start-of-window prior term is selected by ``boundary_mode``:
 
     * ``marginal-prior``: the prior marginal of x_a (exact for the
       subproblem; requires closed-form signal marginals);
     * ``flat-start``: no prior term at the window start;
-    * ``full-prior``: the initial density, correct only when a = 0.
+    * ``full-prior``: the initial density evaluated at x_a.
 
-    Interior and end terms match the full objective restricted to the
-    window.
+    Transition and emission terms are those of the full objective
+    restricted to the window. Values include every normalization constant
+    of the densities involved, so they are comparable across runs of the
+    same family.
     """
 
     def __init__(self, model: ModelSpec, window: tuple[int, int], boundary_mode: str = "marginal-prior"):
-        a, b = int(window[0]), int(window[1])
-        if not (0 <= a <= b <= model.horizon):
-            raise ShapeError(f"window ({a}, {b}) must lie inside 0..{model.horizon}")
         if boundary_mode not in BOUNDARY_MODES:
             raise UnsupportedModeError(
                 f"boundary mode {boundary_mode!r} not one of {BOUNDARY_MODES}"
             )
-        self.model = model
+        a, b = int(window[0]), int(window[1])
+        self.model = model.window(a, b)  # the window's own model, indexed from 0
         self.window = (a, b)
         self.boundary_mode = boundary_mode
-        self._start_mean = None
-        self._start_prec = None
-        self._start_logdet = None
-        if boundary_mode == "marginal-prior":
+        self.n_blocks = b - a + 1
+        self.dim = model.dim
+        self._start = "initial" if a == 0 or boundary_mode == "full-prior" else boundary_mode
+        if self._start == "marginal-prior":
             try:
                 mean, cov = model.signal.marginal_params(a)
             except UnsupportedModeError:
@@ -131,57 +68,94 @@ class WindowedObjective:
                 )
             self._start_mean = mean
             self._start_prec = np.linalg.inv(cov)
-            sign, logdet = np.linalg.slogdet(cov)
-            self._start_logdet = float(logdet)
+            self._start_logdet = float(np.linalg.slogdet(cov)[1])
 
-    @property
-    def n_blocks(self) -> int:
-        return self.window[1] - self.window[0] + 1
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
+    def _check(self, xs: np.ndarray):
+        if xs.shape != (self.n_blocks, self.dim):
+            raise ShapeError(f"window path must be ({self.n_blocks}, {self.dim}), got {xs.shape}")
 
     def _start_term(self, x_a: np.ndarray) -> float:
-        if self.boundary_mode == "flat-start":
+        if self._start == "flat-start":
             return 0.0
-        if self.boundary_mode == "full-prior":
+        if self._start == "initial":
             return self.model.signal.log_mu(x_a)
         r = x_a - self._start_mean
-        d = self.model.dim
-        return -0.5 * (float(r @ self._start_prec @ r) + self._start_logdet + d * _LOG_2PI)
+        return -0.5 * (float(r @ self._start_prec @ r) + self._start_logdet + self.dim * _LOG_2PI)
 
     def _start_grad(self, x_a: np.ndarray) -> np.ndarray:
-        if self.boundary_mode == "flat-start":
+        if self._start == "flat-start":
             return np.zeros_like(x_a)
-        if self.boundary_mode == "full-prior":
+        if self._start == "initial":
             return self.model.signal.grad_log_mu(x_a)
         return -self._start_prec @ (x_a - self._start_mean)
 
     def value(self, xs: np.ndarray) -> float:
-        a, b = self.window
-        if xs.shape[0] != self.n_blocks:
-            raise ShapeError(f"window path must have {self.n_blocks} blocks, got {xs.shape[0]}")
-        val = self._start_term(xs[0])
-        if xs.shape[0] > 1:
-            val += self.model.signal.log_f_sum(xs)
-        val += float(np.sum(self.model.log_g_terms(xs, t0=a)))
+        self._check(xs)
+        val = self._start_term(xs[0]) + self.model.signal.log_f_sum(xs)
+        val += float(np.sum(self.model.log_g_terms(xs)))
         return -val
 
     def grad(self, xs: np.ndarray) -> np.ndarray:
-        a, b = self.window
-        if xs.shape[0] != self.n_blocks:
-            raise ShapeError(f"window path must have {self.n_blocks} blocks, got {xs.shape[0]}")
+        self._check(xs)
         G = self.model.signal.grad_log_transitions(xs)
         G[0] += self._start_grad(xs[0])
-        G += self.model.grad_log_g(xs, t0=a)
+        G += self.model.grad_log_g(xs)
         return -G
 
 
-def grad_U_windowed(obj: WindowedObjective, x_window) -> PathVector:
-    """Block gradient of the windowed negative log posterior."""
-    xs = x_window.blocks if isinstance(x_window, PathVector) else np.asarray(x_window, dtype=float)
-    return PathVector(obj.grad(xs))
+class FullObjective(WindowedObjective):
+    """The full-path problem: the window (0, n) of the model."""
+
+    def __init__(self, model: ModelSpec):
+        super().__init__(model, (0, model.horizon), "full-prior")
+
+
+def eval_U(model: ModelSpec, x) -> float:
+    """Value of the negative log posterior for the full path."""
+    return FullObjective(model).value(_as_blocks(x))
+
+
+def grad_U(model: ModelSpec, x) -> PathVector:
+    """Block gradient of the negative log posterior for the full path."""
+    return PathVector(FullObjective(model).grad(_as_blocks(x)))
+
+
+# ---------------------------------------------------------------------------
+# Local gradients of the summed log densities
+# ---------------------------------------------------------------------------
+
+def grad_phi(model: ModelSpec, x, index_n: int) -> np.ndarray:
+    """Gradient, with respect to block n, of the interior local sum
+    log f(x_{n-1}, x_n) + log f(x_n, x_{n+1}) + log g(x_n, y_n).
+
+    This is minus the middle block of the gradient of the window
+    (n-1, n+1), whose other terms do not involve x_n. Valid for
+    1 <= n <= horizon - 1; the boundary blocks use :func:`grad_phi_tilde`.
+    """
+    xs = _as_blocks(x)
+    n = int(index_n)
+    if not 1 <= n <= xs.shape[0] - 2:
+        raise IndexError(f"interior index must satisfy 1 <= n <= {xs.shape[0] - 2}, got {n}")
+    obj = WindowedObjective(model, (n - 1, n + 1), "flat-start")
+    return -obj.grad(xs[n - 1 : n + 2])[1]
+
+
+def grad_phi_tilde(model: ModelSpec, x, index_n: int) -> np.ndarray:
+    """Gradient, with respect to block n, of the boundary local sum.
+
+    Index 0 bundles the initial density, the forward transition (when a
+    next block exists) and the emission: minus block 0 of the gradient of
+    the window (0, 1), or (0, 0) for a one-block path. Index n >= 1
+    bundles the backward transition and the emission: minus the last
+    block of the gradient of the window (n-1, n).
+    """
+    xs = _as_blocks(x)
+    n = int(index_n)
+    if not 0 <= n <= xs.shape[0] - 1:
+        raise IndexError(f"index must satisfy 0 <= n <= {xs.shape[0] - 1}, got {n}")
+    lo, hi = (0, min(1, xs.shape[0] - 1)) if n == 0 else (n - 1, n)
+    obj = WindowedObjective(model, (lo, hi), "flat-start")
+    return -obj.grad(xs[lo : hi + 1])[n - lo]
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +175,15 @@ def hessian_quadratic_form(
     the discounted norm of v, paired with the discounted inner product.
     Exact (up to roundoff) for models with quadratic objectives.
     """
-    xs = _as_blocks(model, x)
-    vs = _as_blocks(model, v)
-    if xs.shape != vs.shape:
-        raise ShapeError(f"x and v must share shape, got {xs.shape} vs {vs.shape}")
+    obj = FullObjective(model)
+    xs = _as_blocks(x)
+    vs = _as_blocks(v)
+    obj._check(xs)
+    obj._check(vs)
     weights = gamma_weights(vs.shape[0], w.gamma)
-    vnorm = math.sqrt(float(np.einsum("md,md->m", vs, vs) @ weights))
+    vnorm = _weighted_norm(vs, weights)
     if vnorm == 0.0:
         return 0.0
     eps = eps0 / vnorm
-    g_plus = _grad_U_blocks(model, xs + eps * vs)
-    g_minus = _grad_U_blocks(model, xs - eps * vs)
-    hv = (g_plus - g_minus) / (2.0 * eps)
+    hv = (obj.grad(xs + eps * vs) - obj.grad(xs - eps * vs)) / (2.0 * eps)
     return float(np.einsum("md,md->m", vs, hv) @ weights)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PathVector, SegmentPlan, build_segment_plan
-from .errors import DivergenceError
+from .errors import DivergenceError, UnsupportedModeError
 from .models.spec import ModelSpec
 from .objective import WindowedObjective
 from .solver import SolveReport, SolverConfig, solve_map, solve_windowed
@@ -48,7 +48,7 @@ def default_boundary_mode(model: ModelSpec) -> str:
     """marginal-prior when the signal has closed-form marginals, else flat-start."""
     try:
         model.signal.marginal_params(0)
-    except Exception:
+    except UnsupportedModeError:
         return "flat-start"
     return "marginal-prior"
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GammaWeight, PathVector, gamma_weights
+from .core import GammaWeight, PathVector, _weighted_norm, gamma_weights
 from .errors import DivergenceError, ShapeError
 from .models.spec import ModelSpec
 from .objective import FullObjective, WindowedObjective
@@ -81,10 +81,6 @@ class SolveReport:
             "objective_value": self.objective_value,
             "wall_clock_seconds": self.wall_clock_seconds,
         }
-
-
-def _weighted_norm(arr: np.ndarray, weights: np.ndarray) -> float:
-    return math.sqrt(float(np.einsum("md,md->m", arr, arr) @ weights))
 
 
 def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
@@ -173,26 +169,18 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
 
 
 def solve_map(model: ModelSpec, config: SolverConfig, init: PathVector | None = None) -> SolveReport:
-    """Solve the full-path MAP problem by gradient descent.
-
-    The default start is the all-zero path.
-    """
-    objective = FullObjective(model)
-    if init is None:
-        x0 = np.zeros((objective.n_blocks, objective.dim))
-    else:
-        x0 = init.blocks
-        if x0.shape != (objective.n_blocks, objective.dim):
-            raise ShapeError(
-                f"init has shape {x0.shape}, expected {(objective.n_blocks, objective.dim)}"
-            )
-    return _descend(objective, config, x0)
+    """Solve the full-path MAP problem by gradient descent: the window
+    (0, n) through :func:`solve_windowed`."""
+    return solve_windowed(FullObjective(model), config, init)
 
 
 def solve_windowed(
     obj: WindowedObjective, config: SolverConfig, init: PathVector | None = None
 ) -> SolveReport:
-    """Solve one windowed subproblem; contract as in :func:`solve_map`."""
+    """Solve one windowed subproblem by gradient descent.
+
+    The default start is the all-zero path.
+    """
     if init is None:
         x0 = np.zeros((obj.n_blocks, obj.dim))
     else:

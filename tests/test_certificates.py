@@ -280,8 +280,8 @@ class TestBounds:
         bound = viterbi_distance_bound_eta(model, cert, n, tail_horizon=model.horizon)
         assert math.isfinite(bound) and bound > 0
         config = SolverConfig(grad_tol=1e-11, max_iters=40000)
-        xi_n = solve_map(model.prefix(n), config).solution.blocks
-        xi_m = solve_map(model.prefix(m), config).solution.blocks
+        xi_n = solve_map(model.window(0, n), config).solution.blocks
+        xi_m = solve_map(model.window(0, m), config).solution.blocks
         diff = xi_m.copy()
         diff[: n + 1] -= xi_n
         weights = gamma_weights(m + 1, cert.chosen_gamma)
@@ -320,7 +320,7 @@ class TestEmpiricalDecayConvexity:
         # strong-monotonicity modulus from the assembled quadratic form and
         # show any lambda above it is violated along the extremal direction
         from test_objective import assemble_gaussian_hessian
-        from viterbipar.objective import _grad_U_blocks
+        from viterbipar.objective import FullObjective
 
         model = gaussian_model_with_obs(rng.standard_normal(16), a=1.5)
         assert not certify_linear_gaussian(model.signal, lambda_g=0.0).feasible
@@ -332,7 +332,8 @@ class TestEmpiricalDecayConvexity:
         vec = scipy.linalg.eigh(M, D)[1][:, 0]
         lam_set = mu + 0.1
         v = vec.reshape(16, 1)
-        dg = _grad_U_blocks(model, v) - _grad_U_blocks(model, np.zeros_like(v))
+        grad_U = FullObjective(model).grad
+        dg = grad_U(v) - grad_U(np.zeros_like(v))
         weights = gamma_weights(16, gamma)
         inner = float(np.einsum("md,md->m", v, dg) @ weights)
         sq = float(np.einsum("md,md->m", v, v) @ weights)

@@ -21,6 +21,7 @@ from viterbipar import (
     grad_phi_tilde,
     neural_pseudo_field,
     simulate,
+    stationary_covariance,
 )
 from viterbipar.errors import ShapeError, UnsupportedBoundError
 
@@ -40,7 +41,7 @@ def _phi_value(model, xs, n):
     """Interior local sum, assembled from the model's density pieces."""
     sig = model.signal
     val = sig.log_f_sum(xs[n - 1 : n + 2])  # both transitions touching block n
-    val += float(model.log_g_terms(xs[n : n + 1], t0=n)[0])
+    val += float(model.window(n, n).log_g_terms(xs[n : n + 1])[0])
     return val
 
 
@@ -52,7 +53,7 @@ def _phi_tilde_value(model, xs, n):
             val += sig.log_f_sum(xs[0:2])
     else:
         val = sig.log_f_sum(xs[n - 1 : n + 1])
-    return val + float(model.log_g_terms(xs[n : n + 1], t0=n)[0])
+    return val + float(model.window(n, n).log_g_terms(xs[n : n + 1])[0])
 
 
 def _fd_wrt_block(fn, xs, n, eps=1e-6):
@@ -193,7 +194,7 @@ class TestBetaAlpha:
         assert beta_m(model, 2) == pytest.approx(2.25, abs=1e-12)
         assert beta_m(model, 5) == pytest.approx(1.0, abs=1e-12)
         # the truncation horizon of the internal pass must not change values
-        assert beta_m(model.prefix(4), 2) == pytest.approx(2.25, abs=1e-12)
+        assert beta_m(model.window(0, 4), 2) == pytest.approx(2.25, abs=1e-12)
 
     def test_beta_depends_on_data_only_through_emission_gradient(self):
         # with b = b0 = 0 the transition terms vanish at the zero path, so
@@ -312,34 +313,68 @@ class TestNeuralField:
 class TestModelSpecPrefix:
     def test_prefix_truncates_observations(self, rng):
         model = gaussian_model_with_obs(rng.standard_normal(12), a=0.5)
-        short = model.prefix(5)
+        assert model.window(0, model.horizon) is model
+        short = model.window(0, 5)
         assert short.horizon == 5
         np.testing.assert_array_equal(short.observations, model.observations[:6])
         assert short.chi == model.chi
+        later = model.window(3, 8)
+        assert later.horizon == 5
+        assert later.signal is model.signal
+        np.testing.assert_array_equal(later.observations, model.observations[3:9])
+        assert later.chi == model.chi
 
     def test_prefix_slices_neural_spikes(self):
-        model = neural_model(N=3, R=2, n=9)
-        short = model.prefix(4)
-        assert short.horizon == 4
-        assert short.likelihood.spikes.shape[0] == 5
-        np.testing.assert_array_equal(
-            short.likelihood.spikes, model.likelihood.spikes[:5]
-        )
+        for exact in (False, True):
+            model = neural_model(N=3, R=2, n=9, exact=exact)
+            for a, b in ((0, 4), (3, 7)):
+                part = model.window(a, b)
+                assert part.horizon == b - a
+                assert type(part.likelihood) is type(model.likelihood)
+                np.testing.assert_array_equal(part.likelihood.spikes, model.likelihood.spikes[a : b + 1])
+                np.testing.assert_array_equal(part.likelihood.rates_c, model.likelihood.rates_c)
+                # the window's emission terms are the full model's rows a..b
+                xs = np.random.default_rng(a).standard_normal((model.horizon + 1, model.dim))
+                np.testing.assert_allclose(
+                    part.log_g_terms(xs[a : b + 1]), model.log_g_terms(xs)[a : b + 1], rtol=1e-14
+                )
 
     def test_prefix_slices_factor_series(self):
         model = stochvol_model(n=10)
-        short = model.prefix(6)
-        assert short.likelihood.factors.shape[0] == 7
-        # values of the truncated problem match the full one on the prefix
-        xs = np.zeros((7, model.dim))
-        np.testing.assert_allclose(
-            short.log_g_terms(xs, 0), model.log_g_terms(xs, 0)
-        )
+        xs = np.random.default_rng(0).standard_normal((11, model.dim))
+        for a, b in ((0, 6), (4, 9)):
+            part = model.window(a, b)
+            np.testing.assert_array_equal(part.likelihood.factors, model.likelihood.factors[a : b + 1])
+            # values of the sliced problem match the full one on rows a..b
+            np.testing.assert_allclose(
+                part.log_g_terms(xs[a : b + 1]), model.log_g_terms(xs)[a : b + 1], rtol=1e-14
+            )
+            np.testing.assert_allclose(
+                part.grad_log_g(xs[a : b + 1]), model.grad_log_g(xs)[a : b + 1], rtol=1e-14
+            )
 
     def test_prefix_beyond_horizon_rejected(self, rng):
         model = gaussian_model_with_obs(rng.standard_normal(4))
-        with pytest.raises(ShapeError):
-            model.prefix(9)
+        for a, b in ((0, 9), (2, 9), (3, 2), (-1, 2)):
+            with pytest.raises(ShapeError):
+                model.window(a, b)
+
+
+class TestStationaryCovariance:
+    def test_desk_model_closed_form(self):
+        # A = 0.95 I, Sigma = 1e-8 I: the covariance is sigma^2 / (1 - a^2) I
+        d = 10
+        P = stationary_covariance(0.95 * np.eye(d), 1e-8 * np.eye(d))
+        want = 1e-8 / (1.0 - 0.95**2)
+        np.testing.assert_allclose(P, want * np.eye(d), rtol=1e-12, atol=0.0)
+
+    def test_non_normal_fixed_point(self, rng):
+        d = 6
+        A = rng.standard_normal((d, d))
+        A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+        Sigma = np.eye(d) + 0.1 * np.ones((d, d))
+        P = stationary_covariance(A, Sigma)
+        np.testing.assert_allclose(A @ P @ A.T + Sigma, P, rtol=1e-12, atol=1e-12 * np.max(P))
 
 
 class TestSimulate:
@@ -388,6 +423,6 @@ class TestSimulate:
         # zero coupling makes the field uniform over configurations -> rate 1/2
         lik = NeuralPseudo(3, 40, rates_c=[0.5] * 3, spikes=np.zeros((1, 40, 3)))
         rng_local = np.random.default_rng(14)
-        spikes = lik.sample(np.zeros((201, 3)), 0, rng_local)
+        spikes = lik.sample(np.zeros((201, 3)), rng_local)
         assert spikes.shape == (201, 40, 3)
         assert spikes.mean() == pytest.approx(0.5, abs=0.02)

@@ -12,7 +12,6 @@ from viterbipar import (
     eval_U,
     finite_diff_grad,
     grad_U,
-    grad_U_windowed,
     hessian_quadratic_form,
 )
 from viterbipar.core import gamma_weights
@@ -149,7 +148,7 @@ class TestWindowedObjective:
         obj = WindowedObjective(model, (0, 6), boundary_mode="full-prior")
         x = PathVector(rng.standard_normal((7, 1)))
         np.testing.assert_allclose(
-            grad_U_windowed(obj, x).blocks, grad_U(model, x).blocks, atol=1e-14
+            obj.grad(x.blocks), grad_U(model, x).blocks, atol=1e-14
         )
         assert obj.value(x.blocks) == pytest.approx(eval_U(model, x), rel=1e-14)
 
@@ -160,8 +159,8 @@ class TestWindowedObjective:
         for _ in range(3):
             x = PathVector(rng.standard_normal((5, 1)))
             want = finite_diff_grad(lambda p: obj.value(p.blocks), x, epsilon=1e-6)
-            got = grad_U_windowed(obj, x)
-            np.testing.assert_allclose(got.blocks, want.blocks, rtol=1e-6, atol=1e-8)
+            got = obj.grad(x.blocks)
+            np.testing.assert_allclose(got, want.blocks, rtol=1e-6, atol=1e-8)
 
     def test_marginal_prior_equals_initial_density_at_zero(self, rng):
         # stationary chain: the marginal at any index equals the initial

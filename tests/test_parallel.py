@@ -88,7 +88,7 @@ class TestSolveParallel:
         plan = build_segment_plan(23, 4, 3)
         par = solve_parallel(model, plan, CONFIG, workers=1)
         lo, hi = plan.enlarged[0]
-        prefix = solve_map(model.prefix(hi - 1), CONFIG)
+        prefix = solve_map(model.window(0, hi - 1), CONFIG)
         np.testing.assert_allclose(
             par.per_segment[0].solution.blocks, prefix.solution.blocks, atol=1e-10
         )
@@ -121,6 +121,35 @@ class TestNonConjugateParallel:
             assert par.boundary_mode == "flat-start"
             errs.append(relative_error(par.stitched, full.solution))
         assert errs[-1] < errs[0]
+
+    def test_flat_start_first_segment_is_prefix_map(self):
+        # the window at index 0 keeps the initial density under flat-start,
+        # so the first enlarged segment solves the shorter-horizon MAP problem
+        from conftest import huber_signal, student_model
+
+        model = student_model(n=23, d=2, signal=huber_signal(d=2, scale=0.2))
+        config = SolverConfig(grad_tol=1e-11, max_iters=30000)
+        plan = build_segment_plan(23, 4, 3)
+        par = solve_parallel(model, plan, config, workers=1, boundary_mode="flat-start")
+        lo, hi = plan.enlarged[0]
+        prefix = solve_map(model.window(0, hi - 1), config)
+        np.testing.assert_allclose(
+            par.per_segment[0].solution.blocks, prefix.solution.blocks, atol=1e-10
+        )
+
+    def test_default_mode_propagates_other_marginal_errors(self, monkeypatch):
+        # only a signal without closed-form marginals selects flat-start;
+        # any other failure of marginal_params is an error to report
+        from viterbipar.parallel import default_boundary_mode
+
+        model = _model(n=7)
+
+        def broken(m):
+            raise np.linalg.LinAlgError("singular marginal covariance")
+
+        monkeypatch.setattr(model.signal, "marginal_params", broken)
+        with pytest.raises(np.linalg.LinAlgError):
+            default_boundary_mode(model)
 
 
 class TestSweep:
