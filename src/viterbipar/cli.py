@@ -2,8 +2,9 @@
 
 Commands: simulate, solve, solve-par, certify, sweep, verify. Every
 command is deterministic given its configuration and seed; the worker
-count never changes output bytes. Exit codes: 0 ok, 2 configuration
-error, 3 I/O error, 4 solver divergence, 5 certification failure.
+count never changes output bytes. Exit codes: 0 ok, 1 a ``verify``
+check failed, 2 configuration error, 3 I/O error, 4 solver divergence,
+5 certification failure.
 """
 
 from __future__ import annotations
@@ -329,7 +330,8 @@ def sweep_cmd(model_path, obs_path, out_csv, num_segments, deltas, workers, lamb
 @click.option("--lambda-g", type=float, default=0.0, show_default=True)
 @handle_errors
 def verify_cmd(model_path, obs_path, points, seed, lambda_g):
-    """Run the oracle and property checks against the configured model."""
+    """Run the oracle and property checks against the configured model;
+    exit 1 when a check fails."""
     model = _load_model(model_path, obs_path)
     rng = np.random.default_rng(seed)
     checks = {}

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import expit, logsumexp, softmax
 
 from ..errors import CertificationError, ShapeError
 from .signals import _LOG_2PI, _is_diagonal
@@ -177,19 +177,36 @@ class StochVolFactor:
 # Pairwise neural coupling families
 # ---------------------------------------------------------------------------
 
+# float64 entries per temporary of the configuration-enumerating kernels;
+# time bins are processed in chunks that keep each temporary below it
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _chunks(T: int, width: int):
+    """Slices of 0..T-1 whose (bins, width) temporaries fit _CHUNK_ENTRIES."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    return (slice(s, min(s + step, T)) for s in range(0, T, step))
+
+
 def coupling_matrix(x: np.ndarray, N: int) -> np.ndarray:
-    """Symmetric zero-diagonal coupling matrix from the flat vector x."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != N * (N - 1) // 2:
+    """Symmetric zero-diagonal coupling matrix from the flat vector x.
+
+    A (d,) vector gives an (N, N) matrix and a (T, d) stack a (T, N, N)
+    stack.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != N * (N - 1) // 2:
         raise ShapeError(f"coupling vector must have length N(N-1)/2 = {N * (N - 1) // 2}")
-    X = np.zeros((N, N))
-    iu = np.triu_indices(N, k=1)
-    X[iu] = x
-    return X + X.T
+    X = np.zeros(x.shape[:-1] + (N, N))
+    i, j = np.triu_indices(N, k=1)
+    X[..., i, j] = x
+    return X + np.swapaxes(X, -1, -2)
 
 
 def _flat_upper(M: np.ndarray) -> np.ndarray:
-    return M[np.triu_indices(M.shape[0], k=1)]
+    """Strict upper triangles of the trailing (N, N) matrices, flattened."""
+    i, j = np.triu_indices(M.shape[-1], k=1)
+    return M[..., i, j]
 
 
 class _NeuralBase:
@@ -235,29 +252,25 @@ class NeuralPseudo(_NeuralBase):
     local field of the neuron given the other neurons' centered spikes.
     """
 
+    def _fields(self, xs, ys):
+        """Local fields z, shape (T, R, N), and the centered spikes."""
+        yc = ys - self.rates_c
+        return np.matmul(yc, coupling_matrix(xs, self.N)) / self.R, yc
+
     def fields(self, x_n, spikes_n):
         """Local fields z, shape (R, N), for one time bin."""
-        X = coupling_matrix(x_n, self.N)
-        yc = spikes_n - self.rates_c
-        return (yc @ X) / self.R
+        z, _ = self._fields(np.asarray(x_n, dtype=float)[None], spikes_n[None])
+        return z[0]
 
     def log_terms(self, xs, ys):
-        out = np.empty(xs.shape[0])
-        for m in range(xs.shape[0]):
-            z = self.fields(xs[m], ys[m])
-            yz = ys[m] * z
-            out[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
-        return out
+        yz = ys * self._fields(xs, ys)[0]
+        return np.sum(yz - np.logaddexp(0.0, yz), axis=(1, 2))
 
     def grad(self, xs, ys):
-        out = np.empty((xs.shape[0], self.d))
-        for m in range(xs.shape[0]):
-            z = self.fields(xs[m], ys[m])
-            yc = ys[m] - self.rates_c
-            D = ys[m] * (1.0 - expit(ys[m] * z))  # (R, N)
-            M = D.T @ yc
-            out[m] = _flat_upper(M + M.T) / self.R
-        return out
+        z, yc = self._fields(xs, ys)
+        D = ys * (1.0 - expit(ys * z))  # (T, R, N)
+        M = np.matmul(np.swapaxes(D, 1, 2), yc)
+        return _flat_upper(M + np.swapaxes(M, 1, 2)) / self.R
 
     def sample(self, xs, rng):
         return _sample_exact_field(self, xs, rng)
@@ -278,42 +291,38 @@ class NeuralExact(_NeuralBase):
                 f"exact normalizer is limited to N <= {self.MAX_NEURONS} neurons, got {N}"
             )
         super().__init__(N, R, rates_c=rates_c, spikes=spikes)
-        self._configs = _enumerate_configs(self.N)
-        self._configs_centered = self._configs - self.rates_c
-
-    def config_energies(self, x_n):
-        """Pairwise energy of every spike configuration under coupling x_n."""
-        X = coupling_matrix(x_n, self.N)
-        Ec = self._configs_centered
-        return 0.5 * np.einsum("ci,ci->c", Ec @ X, Ec)
+        self._pairs = _config_pairs(self.N, self.rates_c)
 
     def log_normalizer(self, x_n) -> float:
-        return float(logsumexp(self.config_energies(x_n)))
+        return float(self._log_normalizers(np.asarray(x_n, dtype=float)[None])[0])
 
     def normalizer_grad(self, x_n) -> np.ndarray:
         """Gradient of the log normalizer: the centered pair-product mean
         under the configuration distribution."""
-        e = self.config_energies(x_n)
-        p = np.exp(e - logsumexp(e))
-        Ec = self._configs_centered
-        M = Ec.T @ (p[:, None] * Ec)
-        return _flat_upper(M)
+        return self._normalizer_grads(np.asarray(x_n, dtype=float)[None])[0]
 
-    def _suff(self, spikes_n):
-        yc = spikes_n - self.rates_c
-        return _flat_upper(yc.T @ yc) / self.R
+    def _log_normalizers(self, xs):
+        out = np.empty(xs.shape[0])
+        for sl in _chunks(xs.shape[0], self._pairs.shape[0]):
+            out[sl] = logsumexp(xs[sl] @ self._pairs.T, axis=1)
+        return out
+
+    def _normalizer_grads(self, xs):
+        out = np.empty_like(xs)
+        for sl in _chunks(xs.shape[0], self._pairs.shape[0]):
+            out[sl] = softmax(xs[sl] @ self._pairs.T, axis=1) @ self._pairs
+        return out
+
+    def _suff(self, ys):
+        """Centered pair-product means over trials, shape (T, d)."""
+        yc = ys - self.rates_c
+        return _flat_upper(np.matmul(np.swapaxes(yc, 1, 2), yc)) / self.R
 
     def log_terms(self, xs, ys):
-        out = np.empty(xs.shape[0])
-        for m in range(xs.shape[0]):
-            out[m] = float(xs[m] @ self._suff(ys[m])) - self.log_normalizer(xs[m])
-        return out
+        return np.einsum("md,md->m", xs, self._suff(ys)) - self._log_normalizers(xs)
 
     def grad(self, xs, ys):
-        out = np.empty((xs.shape[0], self.d))
-        for m in range(xs.shape[0]):
-            out[m] = self._suff(ys[m]) - self.normalizer_grad(xs[m])
-        return out
+        return self._suff(ys) - self._normalizer_grads(xs)
 
     def sample(self, xs, rng):
         return _sample_exact_field(self, xs, rng)
@@ -324,11 +333,23 @@ def _enumerate_configs(N: int) -> np.ndarray:
     return ((ints[:, None] >> np.arange(N)) & 1).astype(float)
 
 
+def _config_pairs(N: int, rates_c: np.ndarray) -> np.ndarray:
+    """pairs[c, k] = Ec[c, i_k] Ec[c, j_k] for the centered configurations
+    Ec, shape (2^N, d): the energy of configuration c under coupling x is
+    pairs[c] @ x."""
+    Ec = _enumerate_configs(N) - rates_c
+    i, j = np.triu_indices(N, k=1)
+    return Ec[:, i] * Ec[:, j]
+
+
 def _sample_exact_field(family, xs, rng):
     """Draw spikes from the exactly normalized pairwise field, per trial.
 
     Pseudo-likelihoods are not generative, so both spiking families sample
-    from the exact field; this keeps the N <= 10 enumeration cap.
+    from the exact field; this keeps the N <= 10 enumeration cap. Each
+    bin's R uniforms invert that bin's configuration CDF (first entry
+    above the draw), which consumes the generator as ``rng.choice`` with
+    ``p`` does bin after bin.
     """
     N = family.N
     if N > NeuralExact.MAX_NEURONS:
@@ -337,17 +358,15 @@ def _sample_exact_field(family, xs, rng):
             f"{NeuralExact.MAX_NEURONS}, got {N}"
         )
     configs = _enumerate_configs(N)
-    centered = configs - family.rates_c
-    T = xs.shape[0]
-    out = np.empty((T, family.R, N))
-    for m in range(T):
-        X = coupling_matrix(xs[m], N)
-        e = 0.5 * np.einsum("ci,ci->c", centered @ X, centered)
-        p = np.exp(e - logsumexp(e))
-        p /= p.sum()
-        picks = rng.choice(configs.shape[0], size=family.R, p=p)
-        out[m] = configs[picks]
-    return out
+    pairs = _config_pairs(N, family.rates_c)
+    T, R = xs.shape[0], family.R
+    u = rng.random((T, R))
+    picks = np.empty((T, R), dtype=np.int64)
+    for sl in _chunks(T, R * configs.shape[0]):
+        cdf = np.cumsum(softmax(xs[sl] @ pairs.T, axis=1), axis=1)
+        cdf /= cdf[:, -1:]
+        picks[sl] = np.count_nonzero(cdf[:, None, :] <= u[sl, :, None], axis=2)
+    return configs[picks]
 
 
 def neural_pseudo_field(model: NeuralPseudo, x_n, index_n: int, trial_k: int) -> np.ndarray:
@@ -356,5 +375,4 @@ def neural_pseudo_field(model: NeuralPseudo, x_n, index_n: int, trial_k: int) ->
         raise IndexError(f"time index {index_n} outside 0..{model.n_times - 1}")
     if not 0 <= trial_k < model.R:
         raise IndexError(f"trial index {trial_k} outside 0..{model.R - 1}")
-    z = model.fields(np.asarray(x_n, dtype=float), model.spikes[index_n])
-    return z[trial_k]
+    return model.fields(x_n, model.spikes[index_n])[trial_k]

@@ -243,6 +243,10 @@ class LinearDrift:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.M
 
+    def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
+        return v @ self.M
+
 
 @dataclass(frozen=True)
 class TanhDrift:
@@ -256,12 +260,19 @@ class TanhDrift:
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return np.diag(self.scale / np.cosh(x) ** 2)
 
+    def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
+        return v * (self.scale / np.cosh(xs) ** 2)
+
 
 @dataclass
 class HuberNonlinearSignal:
     """x_m = A(x_{m-1}) + b + w_m with Huber-tailed noise, mu proportional
     to exp(-psi0(x)) with the same Huber penalty.
 
+    ``drift_map`` is called on a point or an (m, d) stack of points, and
+    gives ``jacobian(x)`` at one point and the vector-Jacobian products
+    ``vjp(xs, v)`` of a stack (see ``LinearDrift`` and ``TanhDrift``).
     ``lipschitz_bounds`` is (L_psi, L_grad_psi, L_A, L_grad_A): a bound on
     the noise-penalty gradient norm, its Lipschitz constant, the drift
     Jacobian operator norm and the Jacobian's Lipschitz constant. The
@@ -337,10 +348,7 @@ class HuberNonlinearSignal:
             W = self.residuals(xs)
             gpsi = huber_grad(W, self.huber_c)
             G[1:] -= gpsi
-            # chain through the drift Jacobian, one block at a time
-            for m in range(xs.shape[0] - 1):
-                J = np.atleast_2d(self.drift_map.jacobian(xs[m]))
-                G[m] += J.T @ gpsi[m]
+            G[:-1] += self.drift_map.vjp(xs[:-1], gpsi)
         return G
 
     def grad_log_mu(self, x0: np.ndarray) -> np.ndarray:

@@ -66,17 +66,24 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of one solve: the path plus convergence diagnostics."""
+    """Outcome of one solve: the path plus convergence diagnostics.
+
+    ``converged`` is true when the final discounted gradient norm is
+    within the tolerance; a solve that stopped at ``max_iters`` short of
+    it returns normally with ``converged`` false.
+    """
 
     solution: PathVector
     iterations: int
     final_grad_norm: float
     objective_value: float
     wall_clock_seconds: float
+    converged: bool
 
     def to_dict(self) -> dict:
         return {
             "iterations": self.iterations,
+            "converged": self.converged,
             "final_grad_norm": self.final_grad_norm,
             "objective_value": self.objective_value,
             "wall_clock_seconds": self.wall_clock_seconds,
@@ -141,8 +148,8 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
                     )
             grow = halvings == 0
             accepted_any = True
-            # objective is nonincreasing by construction of the accepted step
-            assert f_new <= fx
+            # the Armijo test above gives f_new <= fx: the objective does
+            # not increase across accepted steps
             x, fx = x_new, f_new
         else:
             x = x - h * g
@@ -165,6 +172,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
         final_grad_norm=gnorm,
         objective_value=float(f_final),
         wall_clock_seconds=time.perf_counter() - t_start,
+        converged=gnorm <= tol,
     )
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from viterbipar import PathVector
 from viterbipar import io as vio
 from viterbipar.cli import main
 
@@ -112,8 +113,24 @@ class TestCli:
         assert r.exit_code == 0, r.output
         report = json.loads((out / "report.json").read_text())
         assert report["final_grad_norm"] <= 1e-10
+        assert report["converged"] is True
         sol = vio.read_path_csv(out / "solution.csv")
         assert sol.shape == (51, 1)
+
+    def test_max_iters_stop_reported_not_converged(self, runner, tmp_path):
+        cfg = write_lg_config(tmp_path / "m.json")
+        sim = tmp_path / "sim"
+        runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "51", "--seed", "1", "--out", str(sim)])
+        obs = str(sim / "observations.csv")
+        r1 = runner.invoke(main, ["solve", "--model", str(cfg), "--obs", obs, "--out", str(tmp_path / "a"),
+                                  "--max-iters", "2", "--grad-tol", "1e-12"])
+        r2 = runner.invoke(main, ["solve-par", "--model", str(cfg), "--obs", obs, "--out", str(tmp_path / "b"),
+                                  "--l", "2", "--delta", "3", "--max-iters", "2", "--grad-tol", "1e-12"])
+        assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
+        assert json.loads(r1.output)["converged"] is False
+        segments = json.loads(r2.output)["per_segment"]
+        assert len(segments) == 2
+        assert all(seg["converged"] is False for seg in segments)
 
     def test_solve_par_degenerate_equals_solve(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")
@@ -240,6 +257,21 @@ class TestCli:
         assert payload["checks"]["gradient_vs_finite_difference"]["pass"]
         assert payload["checks"]["solver_vs_exact_smoother"]["pass"]
         assert payload["checks"]["decay_convexity_slack"]["pass"]
+
+    def test_verify_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
+        import viterbipar.cli as cli
+
+        real_grad_U = cli.grad_U
+        monkeypatch.setattr(cli, "grad_U", lambda model, x: PathVector(1.01 * real_grad_U(model, x).blocks))
+        cfg = write_lg_config(tmp_path / "m.json", a=0.5)
+        sim = tmp_path / "sim"
+        runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "12", "--seed", "6", "--out", str(sim)])
+        r = runner.invoke(main, ["verify", "--model", str(cfg), "--obs", str(sim / "observations.csv"),
+                                 "--points", "3"])
+        assert r.exit_code == 1, r.output
+        payload = json.loads(r.output)
+        assert payload["pass"] is False
+        assert payload["checks"]["gradient_vs_finite_difference"]["pass"] is False
 
     def test_verify_reports_infeasible_certificate_without_failing(self, runner, tmp_path):
         cfg = {

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import expit, logsumexp
+
 from viterbipar import (
     GammaWeight,
     ModelSpec,
@@ -23,6 +25,7 @@ from viterbipar import (
     simulate,
     stationary_covariance,
 )
+from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber_grad
 from viterbipar.errors import ShapeError, UnsupportedBoundError
 
 from conftest import (
@@ -308,6 +311,112 @@ class TestNeuralField:
             gp = pseudo.grad(x0, spikes[t : t + 1])
             ge = exact.grad(x0, spikes[t : t + 1])
             np.testing.assert_allclose(gp, ge, atol=1e-12)
+
+
+def _coupling_loop(x, N):
+    X = np.zeros((N, N))
+    X[np.triu_indices(N, k=1)] = x
+    return X + X.T
+
+
+def _centered_configs(N, rates_c):
+    ints = np.arange(2 ** N)
+    return ((ints[:, None] >> np.arange(N)) & 1).astype(float) - rates_c
+
+
+class TestBatchedKernels:
+    """The batched family kernels against per-bin / per-block loops."""
+
+    def test_coupling_matrix_stack_matches_single(self, rng):
+        xs = rng.standard_normal((7, 10))
+        stack = coupling_matrix(xs, 5)
+        assert stack.shape == (7, 5, 5)
+        for m in range(7):
+            np.testing.assert_array_equal(stack[m], coupling_matrix(xs[m], 5))
+            np.testing.assert_array_equal(stack[m], _coupling_loop(xs[m], 5))
+
+    def test_neural_pseudo_matches_per_bin_loop_bit_for_bit(self, rng):
+        N, R, T = 6, 20, 60
+        spikes = random_spikes(N, R, T, seed=11)
+        lik = NeuralPseudo(N, R, spikes=spikes)
+        xs = rng.standard_normal((T, lik.d))
+        iu = np.triu_indices(N, k=1)
+        want_val = np.empty(T)
+        want_grad = np.empty((T, lik.d))
+        for m in range(T):
+            yc = spikes[m] - lik.rates_c
+            z = (yc @ _coupling_loop(xs[m], N)) / R
+            yz = spikes[m] * z
+            want_val[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
+            D = spikes[m] * (1.0 - expit(spikes[m] * z))
+            M = D.T @ yc
+            want_grad[m] = (M + M.T)[iu] / R
+            np.testing.assert_array_equal(lik.fields(xs[m], spikes[m]), z)
+        np.testing.assert_array_equal(lik.log_terms(xs, spikes), want_val)
+        np.testing.assert_array_equal(lik.grad(xs, spikes), want_grad)
+
+    @pytest.mark.parametrize("N, R, T", [(6, 20, 50), (10, 3, 300)])
+    def test_neural_exact_matches_per_bin_loop(self, rng, N, R, T):
+        # at N=10 the 2^N configurations put T=300 bins in two chunks
+        spikes = random_spikes(N, R, T, seed=12)
+        lik = NeuralExact(N, R, spikes=spikes)
+        xs = 0.5 * rng.standard_normal((T, lik.d))
+        Ec = _centered_configs(N, lik.rates_c)
+        iu = np.triu_indices(N, k=1)
+        want_val = np.empty(T)
+        want_grad = np.empty((T, lik.d))
+        for m in range(T):
+            e = 0.5 * np.einsum("ci,ci->c", Ec @ _coupling_loop(xs[m], N), Ec)
+            p = np.exp(e - logsumexp(e))
+            yc = spikes[m] - lik.rates_c
+            suff = (yc.T @ yc)[iu] / R
+            want_val[m] = xs[m] @ suff - logsumexp(e)
+            want_grad[m] = suff - (Ec.T @ (p[:, None] * Ec))[iu]
+        np.testing.assert_allclose(lik.log_terms(xs, spikes), want_val, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(lik.grad(xs, spikes), want_grad, rtol=0, atol=1e-13)
+
+    def test_simulate_matches_per_bin_choice(self):
+        # N=6, R=20 puts 251 bins in two sampler chunks
+        N, R, n, seed = 6, 20, 250, 21
+        rates = np.array([0.2, 0.5, 0.5, 0.3, 0.6, 0.4])
+        lik = NeuralPseudo(N, R, rates_c=rates, spikes=np.zeros((n + 1, R, N)))
+        model = ModelSpec(lg_signal(d=lik.d, a=0.4), lik)
+        xs, spikes = simulate(model, n, seed)
+
+        rng_ref = np.random.default_rng(seed)
+        xs_ref = model.signal.sample_path(n, rng_ref)
+        Ec = _centered_configs(N, rates)
+        configs = Ec + rates
+        want = np.empty((n + 1, R, N))
+        for m in range(n + 1):
+            e = 0.5 * np.einsum("ci,ci->c", Ec @ _coupling_loop(xs_ref[m], N), Ec)
+            p = np.exp(e - logsumexp(e))
+            p /= p.sum()
+            want[m] = configs[rng_ref.choice(2 ** N, size=R, p=p)]
+        np.testing.assert_array_equal(xs.blocks, xs_ref)
+        np.testing.assert_array_equal(spikes, want)
+
+    def test_drift_vjp_matches_jacobian_rows(self, rng):
+        xs = 2.0 * rng.standard_normal((9, 4))
+        v = rng.standard_normal((9, 4))
+        tanh = TanhDrift(0.7)
+        got = tanh.vjp(xs, v)
+        for m in range(9):
+            np.testing.assert_array_equal(got[m], tanh.jacobian(xs[m]).T @ v[m])
+        linear = LinearDrift(rng.standard_normal((4, 4)))
+        got = linear.vjp(xs, v)
+        for m in range(9):
+            np.testing.assert_allclose(got[m], linear.jacobian(xs[m]).T @ v[m], rtol=1e-14, atol=1e-15)
+
+    def test_huber_transition_gradient_matches_per_block_loop(self, rng):
+        sig = huber_signal(d=3, scale=0.4)
+        xs = 2.0 * rng.standard_normal((40, 3))
+        gpsi = huber_grad(sig.residuals(xs), sig.huber_c)
+        want = np.zeros_like(xs)
+        want[1:] -= gpsi
+        for m in range(39):
+            want[m] += sig.drift_map.jacobian(xs[m]).T @ gpsi[m]
+        np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
 
 
 class TestModelSpecPrefix:

@@ -45,8 +45,19 @@ class TestSolveMap:
         assert report.iterations <= config.max_iters
         assert np.isfinite(report.final_grad_norm)
         assert report.final_grad_norm <= 1e-9
+        assert report.converged is True
         assert report.objective_value == pytest.approx(eval_U(model, report.solution), rel=1e-12)
         assert report.wall_clock_seconds >= 0
+
+    def test_max_iters_stop_is_not_converged(self, rng):
+        # a stiff chain (a=0.95, tiny transition noise) is far from
+        # stationary after five steps; the solve returns with the flag off
+        model = gaussian_model_with_obs(rng.standard_normal(200), a=0.95, sigma_sq=1e-4)
+        report = solve_map(model, SolverConfig(max_iters=5))
+        assert report.iterations == 5
+        assert report.converged is False
+        assert report.final_grad_norm > SolverConfig().resolved_tol(201)
+        assert report.to_dict()["converged"] is False
 
     def test_fresh_gradient_confirms_stationarity(self, rng):
         # guards against stale solver state: recomputing the gradient at the
