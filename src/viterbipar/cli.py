@@ -4,7 +4,7 @@ Commands: simulate, solve, solve-par, certify, sweep, verify. Every
 command is deterministic given its configuration and seed; the worker
 count never changes output bytes. Exit codes: 0 ok, 1 a ``verify``
 check failed, 2 configuration error, 3 I/O error, 4 solver divergence,
-5 certification failure.
+5 certification failure, 6 a worker process died.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import click
@@ -47,6 +48,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_DIVERGENCE = 4
 EXIT_CERTIFICATION = 5
+EXIT_WORKER = 6
 
 
 def _echo_json(payload):
@@ -70,6 +72,11 @@ def handle_errors(fn):
         except OSError as exc:
             click.echo(f"I/O error: {exc}", err=True)
             sys.exit(EXIT_IO)
+        except BrokenProcessPool as exc:
+            reason = str(exc).rstrip(".")
+            click.echo(f"worker failure: {reason}; rerun with --workers 1 to solve in this process",
+                       err=True)
+            sys.exit(EXIT_WORKER)
 
     return wrapper
 

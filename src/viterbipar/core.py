@@ -1,4 +1,4 @@
-"""Path-vector arithmetic, discounted inner products and segment plans.
+"""Path vectors, discounted inner products and segment plans.
 
 A path is the finite block vector (x_0, ..., x_n), each block in R^d.
 All norms treat blocks beyond the stored horizon as zero, so a stored
@@ -57,19 +57,6 @@ class PathVector:
     @classmethod
     def zeros(cls, horizon_n: int, dim_d: int) -> "PathVector":
         return cls(np.zeros((horizon_n + 1, dim_d)))
-
-    def __add__(self, other: "PathVector") -> "PathVector":
-        _check_same_shape(self, other)
-        return PathVector(self.blocks + other.blocks)
-
-    def __sub__(self, other: "PathVector") -> "PathVector":
-        _check_same_shape(self, other)
-        return PathVector(self.blocks - other.blocks)
-
-    def __mul__(self, scalar: float) -> "PathVector":
-        return PathVector(self.blocks * float(scalar))
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

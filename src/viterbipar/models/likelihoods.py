@@ -60,6 +60,7 @@ class GaussianEmission:
         if self._diag:
             self._c_d = np.diag(self.C).copy()
             self._ri_d = np.diag(self.R_inv).copy()
+            self._ric_d = self._ri_d * self._c_d  # diagonal of R^-1 C
 
     @property
     def obs_dim(self) -> int:
@@ -69,14 +70,19 @@ class GaussianEmission:
         return self.C.shape[1]
 
     def residuals(self, xs, ys):
+        """y_m - C x_m as a fresh array the callers below reuse as scratch."""
         if self._diag:
-            return ys - xs * self._c_d
-        return ys - xs @ self.C.T
+            r = np.multiply(xs, self._c_d)
+        else:
+            r = np.matmul(xs, self.C.T)
+        return np.subtract(ys, r, out=r)
 
     def log_terms(self, xs, ys):
         r = self.residuals(xs, ys)
         if self._diag:
-            q = np.sum(r * r * self._ri_d, axis=1)
+            np.multiply(r, r, out=r)
+            r *= self._ri_d
+            q = np.sum(r, axis=1)
         else:
             q = np.einsum("mp,mp->m", r @ self.R_inv, r)
         return -0.5 * (q + self._logdet_R + self.obs_dim * _LOG_2PI)
@@ -84,7 +90,8 @@ class GaussianEmission:
     def grad(self, xs, ys):
         r = self.residuals(xs, ys)
         if self._diag:
-            return r * self._ri_d * self._c_d
+            r *= self._ric_d
+            return r
         return r @ self.RinvC
 
     def sample(self, xs, rng):

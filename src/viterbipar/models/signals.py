@@ -101,6 +101,7 @@ class LinearGaussianSignal:
             raise CertificationError("Sigma/Sigma0 dimensions do not match A")
         self.Sigma_inv = np.linalg.inv(self.Sigma)
         self.Sigma0_inv = np.linalg.inv(self.Sigma0)
+        self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         # diagonal fast path of the transition terms
         self._diag = _is_diagonal(self.A) and _is_diagonal(self.Sigma)
         if self._diag:
@@ -119,10 +120,17 @@ class LinearGaussianSignal:
         return -0.5 * (q + self._logdet_S0 + self.dim * _LOG_2PI)
 
     def residuals(self, xs: np.ndarray) -> np.ndarray:
-        """Transition residuals w_m = x_m - A x_{m-1} - b for m = 1..n."""
+        """Transition residuals w_m = x_m - A x_{m-1} - b for m = 1..n, as a
+        fresh array the callers below reuse as scratch."""
+        W = np.empty((xs.shape[0] - 1, xs.shape[1]))
         if self._diag:
-            return xs[1:] - xs[:-1] * self._a_d - self.b
-        return xs[1:] - xs[:-1] @ self.A.T - self.b
+            np.multiply(xs[:-1], self._a_d, out=W)
+        else:
+            np.matmul(xs[:-1], self.A.T, out=W)
+        np.subtract(xs[1:], W, out=W)
+        if self._b_nonzero:
+            W -= self.b
+        return W
 
     def log_f_sum(self, xs: np.ndarray) -> float:
         """Sum over m of log f(x_{m-1}, x_m)."""
@@ -131,24 +139,30 @@ class LinearGaussianSignal:
             return 0.0
         W = self.residuals(xs)
         if self._diag:
-            q = float(np.sum(W * W * self._si_d))
+            np.multiply(W, W, out=W)
+            W *= self._si_d
+            q = float(np.sum(W))
         else:
             q = float(np.einsum("md,md->", W @ self.Sigma_inv, W))
         return -0.5 * (q + n * (self._logdet_S + self.dim * _LOG_2PI))
 
     def grad_log_transitions(self, xs: np.ndarray) -> np.ndarray:
-        """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term)."""
-        G = np.zeros_like(xs)
-        if xs.shape[0] > 1:
-            W = self.residuals(xs)
-            if self._diag:
-                SiW = W * self._si_d
-                G[1:] -= SiW
-                G[:-1] += SiW * self._a_d
-            else:
-                SiW = W @ self.Sigma_inv
-                G[1:] -= SiW
-                G[:-1] += SiW @ self.A
+        """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term):
+        -Sigma^-1 w_m on block m, A' Sigma^-1 w_{m+1} added on block m."""
+        G = np.empty_like(xs, dtype=float)
+        G[0] = 0.0
+        if xs.shape[0] == 1:
+            return G
+        W = self.residuals(xs)
+        if self._diag:
+            W *= self._si_d
+            np.negative(W, out=G[1:])
+            W *= self._a_d
+        else:
+            SiW = W @ self.Sigma_inv
+            np.negative(SiW, out=G[1:])
+            np.matmul(SiW, self.A, out=W)
+        G[:-1] += W
         return G
 
     def grad_log_mu(self, x0: np.ndarray) -> np.ndarray:
@@ -157,12 +171,28 @@ class LinearGaussianSignal:
     # -- marginals and sampling ------------------------------------------
 
     def marginal_params(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and covariance of x_m under the prior chain."""
+        """Mean and covariance of x_m under the prior chain.
+
+        The k-step map (mean, cov) -> (A^k mean + s_k, A^k cov A^k' + P_k)
+        doubles as A_2k = A_k^2, s_2k = A_k s_k + s_k, P_2k = A_k P_k A_k' + P_k
+        from the one-step map (A, b, Sigma); the maps of the binary digits of
+        m are applied in turn (they commute), so the cost is O(log m d^3).
+        """
+        m = int(m)
+        if m < 0:
+            raise ValueError(f"marginal index must be nonnegative, got {m}")
         mean = self.b0.copy()
         cov = self.Sigma0.copy()
-        for _ in range(m):
-            mean = self.A @ mean + self.b
-            cov = self.A @ cov @ self.A.T + self.Sigma
+        Ak, sk, Pk = self.A, self.b, self.Sigma
+        while m:
+            if m & 1:
+                mean = Ak @ mean + sk
+                cov = Ak @ cov @ Ak.T + Pk
+            m >>= 1
+            if m:
+                sk = Ak @ sk + sk
+                Pk = Ak @ Pk @ Ak.T + Pk
+                Ak = Ak @ Ak
         return mean, cov
 
     def sample_path(self, horizon_n: int, rng: np.random.Generator) -> np.ndarray:

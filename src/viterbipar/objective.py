@@ -97,10 +97,10 @@ class WindowedObjective:
 
     def grad(self, xs: np.ndarray) -> np.ndarray:
         self._check(xs)
-        G = self.model.signal.grad_log_transitions(xs)
+        G = self.model.signal.grad_log_transitions(xs)  # a fresh array, summed into in place
         G[0] += self._start_grad(xs[0])
         G += self.model.grad_log_g(xs)
-        return -G
+        return np.negative(G, out=G)
 
 
 class FullObjective(WindowedObjective):

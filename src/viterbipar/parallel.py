@@ -150,11 +150,19 @@ def sweep_delta(
     The reference is the single-segment, zero-overlap solve under the
     identical solver configuration; speedup is its wall clock over each
     parallel wall clock. Returns (rows, reference report, boundary mode
-    used by the segment solves).
+    used by the segment solves). A reference that is the zero path, as
+    all-zero observations of a zero-mean chain give, leaves every
+    relative error undefined and raises ValueError before any segment
+    solve.
     """
     if sorted(deltas) != list(deltas) or any(d < 0 for d in deltas):
         raise ValueError("deltas must be nonnegative and sorted ascending")
     reference = solve_map(model, config)
+    if not np.any(reference.solution.blocks):
+        raise ValueError(
+            "the full solve is the zero path (all-zero observations?); "
+            "errors relative to it are undefined"
+        )
     mode = boundary_mode or default_boundary_mode(model)
     rows = []
     for delta in deltas:

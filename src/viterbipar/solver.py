@@ -70,7 +70,9 @@ class SolveReport:
 
     ``converged`` is true when the final discounted gradient norm is
     within the tolerance; a solve that stopped at ``max_iters`` short of
-    it returns normally with ``converged`` false.
+    it returns normally with ``converged`` false. ``grad_evals`` and
+    ``value_evals`` count the objective's gradient and value calls,
+    including the final point's value.
     """
 
     solution: PathVector
@@ -79,11 +81,15 @@ class SolveReport:
     objective_value: float
     wall_clock_seconds: float
     converged: bool
+    grad_evals: int
+    value_evals: int
 
     def to_dict(self) -> dict:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
+            "grad_evals": self.grad_evals,
+            "value_evals": self.value_evals,
             "final_grad_norm": self.final_grad_norm,
             "objective_value": self.objective_value,
             "wall_clock_seconds": self.wall_clock_seconds,
@@ -91,7 +97,11 @@ class SolveReport:
 
 
 def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
-    """Shared descent loop for full and windowed objectives."""
+    """Shared descent loop for full and windowed objectives.
+
+    ``objective.grad`` returns a fresh array, so the fixed-step update
+    may scale it in place and subtract it from ``x``, the loop's own copy.
+    """
     t_start = time.perf_counter()
     x = np.array(init, dtype=float)
     weights = gamma_weights(x.shape[0], config.gamma.gamma)
@@ -99,9 +109,13 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
 
     backtracking = config.step_mode == "backtracking"
     h = config.step_size
-    fx = objective.value(x) if backtracking else None
-    if backtracking and not math.isfinite(fx):
-        raise DivergenceError("objective not finite at the initial point", iteration=0)
+    grad_evals = value_evals = 0
+    fx = None
+    if backtracking:
+        fx = objective.value(x)
+        value_evals += 1
+        if not math.isfinite(fx):
+            raise DivergenceError("objective not finite at the initial point", iteration=0)
 
     iterations = 0
     gnorm = math.inf
@@ -110,12 +124,14 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     accepted_any = False  # coasting may only trust a step the search accepted
     for it in range(config.max_iters):
         g = objective.grad(x)
-        if not np.all(np.isfinite(g)):
+        grad_evals += 1
+        gnorm = _weighted_norm(g, weights)
+        # a finite gradient can only have a non-finite norm by overflow
+        if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
             raise DivergenceError(
                 f"gradient became non-finite at iteration {it} (step too large?)",
                 iteration=it,
             )
-        gnorm = _weighted_norm(g, weights)
         if gnorm <= tol:
             break
         iterations = it + 1
@@ -138,6 +154,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
             while True:
                 x_new = x - h * g
                 f_new = objective.value(x_new)
+                value_evals += 1
                 if math.isfinite(f_new) and f_new <= fx - config.armijo_c * h * g_sq:
                     break
                 h *= 0.5
@@ -152,18 +169,21 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
             # not increase across accepted steps
             x, fx = x_new, f_new
         else:
-            x = x - h * g
+            g *= h
+            x -= g
     else:
         # max_iters reached; recompute the gradient norm at the final point
         g = objective.grad(x)
-        if not np.all(np.isfinite(g)):
+        grad_evals += 1
+        gnorm = _weighted_norm(g, weights)
+        if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
             raise DivergenceError(
                 f"gradient became non-finite at iteration {config.max_iters}",
                 iteration=config.max_iters,
             )
-        gnorm = _weighted_norm(g, weights)
 
     f_final = objective.value(x)
+    value_evals += 1
     if not math.isfinite(f_final):
         raise DivergenceError("objective not finite at the final point", iteration=iterations)
     return SolveReport(
@@ -173,6 +193,8 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
         objective_value=float(f_final),
         wall_clock_seconds=time.perf_counter() - t_start,
         converged=gnorm <= tol,
+        grad_evals=grad_evals,
+        value_evals=value_evals,
     )
 
 

@@ -312,7 +312,8 @@ class TestEmpiricalDecayConvexity:
         x = PathVector(rng.standard_normal((10, 1)))
         g = grad_U(model, x)
         w = GammaWeight(0.7)
-        slack = gamma_inner(x - x, g - g, w) - 0.2 * gamma_inner(x - x, x - x, w)
+        dx, dg = PathVector(x.blocks - x.blocks), PathVector(g.blocks - g.blocks)
+        slack = gamma_inner(dx, dg, w) - 0.2 * gamma_inner(dx, dx, w)
         assert slack == 0.0
 
     def test_violating_pair_constructible_for_uncertifiable_model(self, rng):

@@ -48,7 +48,7 @@ class TestGammaInner:
             z = PathVector(rng.standard_normal((5, 3)))
             a, b = rng.standard_normal(2)
             assert gamma_inner(x, y, w) == pytest.approx(gamma_inner(y, x, w), rel=1e-12)
-            lhs = gamma_inner(a * x + b * y, z, w)
+            lhs = gamma_inner(PathVector(a * x.blocks + b * y.blocks), z, w)
             rhs = a * gamma_inner(x, z, w) + b * gamma_inner(y, z, w)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -58,7 +58,8 @@ class TestGammaInner:
         for _ in range(100):
             x = PathVector(rng.standard_normal((7, 2)))
             y = PathVector(rng.standard_normal((7, 2)))
-            assert gamma_norm(x + y, w) <= gamma_norm(x, w) + gamma_norm(y, w) + 1e-12
+            x_plus_y = PathVector(x.blocks + y.blocks)
+            assert gamma_norm(x_plus_y, w) <= gamma_norm(x, w) + gamma_norm(y, w) + 1e-12
 
     def test_gamma_one_is_euclidean(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,11 @@ from viterbipar import io as vio
 from viterbipar.cli import main
 
 from conftest import random_spikes
+
+
+def _exit_at_once(task):
+    """Stands in for the segment solve in a worker process that dies."""
+    os._exit(1)
 
 
 @pytest.fixture
@@ -114,6 +120,8 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["final_grad_norm"] <= 1e-10
         assert report["converged"] is True
+        assert report["grad_evals"] == report["iterations"] + 1
+        assert report["value_evals"] >= 2
         sol = vio.read_path_csv(out / "solution.csv")
         assert sol.shape == (51, 1)
 
@@ -131,6 +139,8 @@ class TestCli:
         segments = json.loads(r2.output)["per_segment"]
         assert len(segments) == 2
         assert all(seg["converged"] is False for seg in segments)
+        assert all(seg["grad_evals"] == 3 for seg in segments)
+        assert all(seg["value_evals"] >= 3 for seg in segments)
 
     def test_solve_par_degenerate_equals_solve(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")
@@ -244,6 +254,39 @@ class TestCli:
         bounds = [float(l.split(",")[4]) for l in lines[1:]]
         assert all(b > 0 for b in bounds)
         assert json.loads(r.output)["boundary_mode"] == "marginal-prior"
+
+    def test_sweep_on_zero_observations_is_config_error(self, runner, tmp_path):
+        # the full solve of all-zero data is the zero path: no relative error
+        cfg = write_lg_config(tmp_path / "m.json", a=0.8, sigma0="stationary")
+        obs = tmp_path / "zeros.csv"
+        vio.write_observations_csv(obs, np.zeros((48, 1)))
+        r = runner.invoke(main, ["sweep", "--model", str(cfg), "--obs", str(obs),
+                                 "--out", str(tmp_path / "sweep.csv"), "--l", "4",
+                                 "--deltas", "0,4"])
+        assert r.exit_code == 2, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert "zero path" in lines[0]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["solve-par", "sweep"])
+    def test_dead_worker_exits_6(self, runner, tmp_path, monkeypatch, command):
+        cfg = write_lg_config(tmp_path / "m.json", sigma0="stationary")
+        sim = tmp_path / "sim"
+        runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "23", "--seed", "3", "--out", str(sim)])
+        monkeypatch.setattr("viterbipar.parallel._solve_one_segment", _exit_at_once)
+        args = ["--model", str(cfg), "--obs", str(sim / "observations.csv"), "--l", "2",
+                "--workers", "2"]
+        if command == "solve-par":
+            args += ["--out", str(tmp_path / "par"), "--delta", "3"]
+        else:
+            args += ["--out", str(tmp_path / "sweep.csv"), "--deltas", "0,3"]
+        r = runner.invoke(main, [command] + args)
+        assert r.exit_code == 6, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("worker failure:")
+        assert "--workers 1" in lines[0]
 
     def test_verify_passes_on_conjugate_model(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json", a=0.5)

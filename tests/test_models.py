@@ -9,11 +9,14 @@ from scipy.special import expit, logsumexp
 
 from viterbipar import (
     GammaWeight,
+    GaussianEmission,
+    LinearGaussianSignal,
     ModelSpec,
     NeuralExact,
     NeuralPseudo,
     PathVector,
     StudentTEmission,
+    WindowedObjective,
     alpha_gamma_n,
     beta_m,
     eta_bound,
@@ -484,6 +487,165 @@ class TestStationaryCovariance:
         Sigma = np.eye(d) + 0.1 * np.ones((d, d))
         P = stationary_covariance(A, Sigma)
         np.testing.assert_allclose(A @ P @ A.T + Sigma, P, rtol=1e-12, atol=1e-12 * np.max(P))
+
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _logdet(M):
+    return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(M)))))
+
+
+def _spd(rng, d):
+    B = rng.standard_normal((d, d))
+    return B @ B.T / d + np.eye(d)
+
+
+def _ref_transitions(A, b, Sigma, xs, diag):
+    """(sum_m log f, block gradient) of the linear-Gaussian transitions."""
+    n, d = xs.shape[0] - 1, xs.shape[1]
+    G = np.zeros_like(xs)
+    if diag:
+        a, si = np.diag(A), np.diag(np.linalg.inv(Sigma))
+        W = xs[1:] - xs[:-1] * a - b
+        q = float(np.sum(W * W * si))
+        SiW = W * si
+        G[1:] -= SiW
+        G[:-1] += SiW * a
+    else:
+        Si = np.linalg.inv(Sigma)
+        W = xs[1:] - xs[:-1] @ A.T - b
+        SiW = W @ Si
+        q = float(np.einsum("md,md->", SiW, W))
+        G[1:] -= SiW
+        G[:-1] += SiW @ A
+    return -0.5 * (q + n * (_logdet(Sigma) + d * _LOG_2PI)), G
+
+
+def _ref_emission(C, R, xs, ys, diag):
+    """(per-index log g, block gradient) of the Gaussian emission."""
+    Ri = np.linalg.inv(R)
+    if diag:
+        c, ri = np.diag(C), np.diag(Ri)
+        r = ys - xs * c
+        q, G = np.sum(r * r * ri, axis=1), r * (ri * c)
+    else:
+        r = ys - xs @ C.T
+        q, G = np.einsum("mp,mp->m", r @ Ri, r), r @ (Ri @ C)
+    return -0.5 * (q + _logdet(R) + C.shape[0] * _LOG_2PI), G
+
+
+def _assert_matches(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        scale = float(np.max(np.abs(want)))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
+
+
+class TestGaussianKernels:
+    """The in-place linear-Gaussian and Gaussian-emission kernels against
+    the formulas: the diagonal paths bit for bit, the dense ones within
+    1e-14."""
+
+    d, n = 5, 40
+
+    def signal(self, rng, diag, b_zero):
+        d = self.d
+        if diag:
+            A, Sigma = np.diag(rng.uniform(-0.9, 0.9, d)), np.diag(rng.uniform(0.5, 2.0, d))
+        else:
+            A, Sigma = 0.3 * rng.standard_normal((d, d)), _spd(rng, d)
+        b = np.zeros(d) if b_zero else rng.standard_normal(d)
+        sig = LinearGaussianSignal(A, b, Sigma, rng.standard_normal(d), _spd(rng, d))
+        assert sig._diag == diag
+        return sig, A, b, Sigma
+
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("b_zero", [True, False])
+    def test_transitions(self, rng, diag, b_zero):
+        sig, A, b, Sigma = self.signal(rng, diag, b_zero)
+        xs = rng.standard_normal((self.n + 1, self.d))
+        before = xs.copy()
+        value, grad = _ref_transitions(A, b, Sigma, xs, diag)
+        _assert_matches(sig.grad_log_transitions(xs), grad, diag)
+        _assert_matches(np.array(sig.log_f_sum(xs)), np.array(value), diag)
+        assert np.array_equal(xs, before)
+        # one block: no transitions
+        assert np.array_equal(sig.grad_log_transitions(xs[:1]), np.zeros((1, self.d)))
+        assert sig.log_f_sum(xs[:1]) == 0.0
+
+    @pytest.mark.parametrize("shape", ["diagonal", "dense", "non-square"])
+    def test_emission(self, rng, shape):
+        d = self.d
+        p = 3 if shape == "non-square" else d
+        if shape == "diagonal":
+            C, R = np.diag(rng.uniform(0.5, 2.0, d)), np.diag(rng.uniform(0.2, 3.0, d))
+        else:
+            C, R = rng.standard_normal((p, d)), _spd(rng, p)
+        lik = GaussianEmission(C, R)
+        assert lik._diag == (shape == "diagonal")
+        xs, ys = rng.standard_normal((self.n + 1, d)), rng.standard_normal((self.n + 1, p))
+        before = (xs.copy(), ys.copy())
+        terms, grad = _ref_emission(C, R, xs, ys, shape == "diagonal")
+        _assert_matches(lik.grad(xs, ys), grad, shape == "diagonal")
+        _assert_matches(lik.log_terms(xs, ys), terms, shape == "diagonal")
+        assert np.array_equal(xs, before[0]) and np.array_equal(ys, before[1])
+
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("b_zero", [True, False])
+    def test_windowed_objective(self, rng, diag, b_zero):
+        """minus (transitions + start term + emission) on the full-prior
+        window 0..n and on a flat-start window a..b."""
+        sig, A, b, Sigma = self.signal(rng, diag, b_zero)
+        d, n = self.d, self.n
+        if diag:
+            C, R = np.diag(rng.uniform(0.5, 2.0, d)), np.diag(rng.uniform(0.2, 3.0, d))
+        else:
+            C, R = rng.standard_normal((3, d)), _spd(rng, 3)
+        ys = rng.standard_normal((n + 1, C.shape[0]))
+        model = ModelSpec(sig, GaussianEmission(C, R), observations=ys)
+        xs = rng.standard_normal((n + 1, d))
+
+        G = _ref_transitions(A, b, Sigma, xs, diag)[1]
+        G[0] += -np.linalg.inv(sig.Sigma0) @ (xs[0] - sig.b0)
+        G += _ref_emission(C, R, xs, ys, diag)[1]
+        _assert_matches(WindowedObjective(model, (0, n), "full-prior").grad(xs), -G, diag)
+
+        lo, hi = 7, 30
+        G = _ref_transitions(A, b, Sigma, xs[lo : hi + 1], diag)[1]
+        G += _ref_emission(C, R, xs[lo : hi + 1], ys[lo : hi + 1], diag)[1]
+        got = WindowedObjective(model, (lo, hi), "flat-start").grad(xs[lo : hi + 1])
+        _assert_matches(got, -G, diag)
+
+
+class TestMarginalParams:
+    def test_squaring_matches_step_loop(self):
+        rng = np.random.default_rng(21)
+        d = 4
+        # upper triangular with a strong off-diagonal part: non-diagonal and
+        # non-normal, spectral radius 0.95
+        A = np.triu(0.6 * rng.standard_normal((d, d)), 1) + np.diag([0.95, -0.7, 0.5, 0.9])
+        b = rng.standard_normal(d)
+        sig = LinearGaussianSignal(A, b, _spd(rng, d), rng.standard_normal(d), _spd(rng, d))
+        for m in (0, 1, 2, 7, 100, 1000):
+            mean, cov = sig.b0.copy(), sig.Sigma0.copy()
+            for _ in range(m):
+                mean = A @ mean + b
+                cov = A @ cov @ A.T + sig.Sigma
+            got_mean, got_cov = sig.marginal_params(m)
+            assert np.linalg.norm(got_mean - mean) <= 1e-12 * np.linalg.norm(mean), m
+            assert np.linalg.norm(got_cov - cov) <= 1e-12 * np.linalg.norm(cov), m
+        with pytest.raises(ValueError):
+            sig.marginal_params(-1)
+
+    def test_returns_copies(self):
+        sig = lg_signal(d=2, b0=0.5, sigma0_sq=2.0)
+        mean, cov = sig.marginal_params(0)
+        mean += 1.0
+        cov += 1.0
+        assert np.array_equal(sig.b0, [0.5, 0.5])
+        assert np.array_equal(sig.Sigma0, 2.0 * np.eye(2))
 
 
 class TestSimulate:

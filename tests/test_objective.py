@@ -176,6 +176,27 @@ class TestWindowedObjective:
         with pytest.raises(UnsupportedModeError):
             WindowedObjective(model, (1, 4), boundary_mode="marginal-prior")
 
+    @pytest.mark.parametrize("family", ["gaussian", "huber"])
+    def test_each_gradient_is_a_fresh_array(self, family, rng):
+        # callers hold one gradient across the next call (gradient
+        # differences, power iteration); neither call may write into the
+        # other's result or into the path
+        if family == "gaussian":
+            model = gaussian_model_with_obs(rng.standard_normal((12, 2)), a=0.6)
+        else:
+            model = student_model(n=11, d=2, signal=huber_signal(d=2))
+        obj = WindowedObjective(model, (0, 11), boundary_mode="full-prior")
+        x = rng.standard_normal((12, 2))
+        x_kept = x.copy()
+        g1 = obj.grad(x)
+        g1_kept = g1.copy()
+        g2 = obj.grad(x + 1.0)
+        assert not np.shares_memory(g1, g2)
+        assert np.array_equal(g1, g1_kept)
+        assert not np.array_equal(g1, g2)
+        obj.value(x)
+        assert np.array_equal(x, x_kept)
+
     def test_nonneural_families_support_windows(self, rng):
         model = stochvol_model(n=8)
         obj = WindowedObjective(model, (3, 6), boundary_mode="flat-start")

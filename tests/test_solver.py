@@ -1,5 +1,7 @@
 """Gradient solvers: convergence, contraction, determinism, divergence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,26 @@ class TestSolveMap:
         # regression lock for the iterate sequence (value frozen from this model)
         assert r1.objective_value == pytest.approx(46.902390094206815, rel=1e-12)
 
+    def test_fixed_step_matches_reference_loop(self, rng):
+        # the in-place update g *= h; x -= g is the plain x = x - h g
+        ys = rng.standard_normal((60, 3))
+        model = gaussian_model_with_obs(ys, a=0.8, b=0.3)
+        obj = FullObjective(model)
+        h = 1.0 / estimate_grad_lipschitz(obj)
+        gamma = GammaWeight(0.9)
+        config = SolverConfig(step_mode="fixed", step_size=h, max_iters=5000, grad_tol=1e-9,
+                              gamma=gamma)
+        report = solve_map(model, config)
+        weights = gamma_weights(60, gamma.gamma)
+        x = np.zeros((60, 3))
+        for it in range(config.max_iters):
+            g = obj.grad(x)
+            if math.sqrt(float(np.einsum("md,md->m", g, g) @ weights)) <= config.grad_tol:
+                break
+            x = x - h * g
+        assert report.converged and 0 < report.iterations == it
+        assert np.array_equal(report.solution.blocks, x)
+
     def test_contraction_between_two_starts(self, rng):
         model = gaussian_model_with_obs(rng.standard_normal(40), a=0.5, stationary=True)
         cert = certify_linear_gaussian(model.signal, lambda_g=0.0)
@@ -114,6 +136,59 @@ class TestSolveMap:
             cur = dist()
             assert cur <= prev * (1.0 - 0.5 * h * lam) + 1e-15
             prev = cur
+
+
+class CountingObjective:
+    """Counts the gradient and value calls made of the wrapped objective."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_blocks, self.dim = inner.n_blocks, inner.dim
+        self.grad_evals = self.value_evals = 0
+
+    def grad(self, xs):
+        self.grad_evals += 1
+        return self.inner.grad(xs)
+
+    def value(self, xs):
+        self.value_evals += 1
+        return self.inner.value(xs)
+
+
+class TestEvaluationCounts:
+    def solve(self, model, config):
+        obj = CountingObjective(FullObjective(model))
+        report = solve_windowed(obj, config)
+        assert (report.grad_evals, report.value_evals) == (obj.grad_evals, obj.value_evals)
+        assert report.to_dict()["grad_evals"] == report.grad_evals
+        assert report.to_dict()["value_evals"] == report.value_evals
+        return report
+
+    def test_fixed_mode_converged(self, rng):
+        model = gaussian_model_with_obs(rng.standard_normal(30), a=0.5)
+        h = 1.0 / estimate_grad_lipschitz(FullObjective(model))
+        report = self.solve(model, SolverConfig(step_mode="fixed", step_size=h, grad_tol=1e-9))
+        assert report.converged and report.iterations > 0
+        # one gradient per step plus the one that met the tolerance; one
+        # value, at the final point
+        assert report.grad_evals == report.iterations + 1
+        assert report.value_evals == 1
+
+    def test_backtracking_mode(self, rng):
+        model = gaussian_model_with_obs(rng.standard_normal(30), a=0.5)
+        report = self.solve(model, SolverConfig(step_size=4.0, grad_tol=1e-9))
+        assert report.converged
+        assert report.grad_evals == report.iterations + 1
+        # the start value, at least one trial per step, the final value
+        assert report.value_evals >= report.iterations + 2
+
+    def test_max_iters_stop(self, rng):
+        model = gaussian_model_with_obs(rng.standard_normal(200), a=0.95, sigma_sq=1e-4)
+        report = self.solve(model, SolverConfig(step_mode="fixed", step_size=0.1, max_iters=5))
+        assert not report.converged and report.iterations == 5
+        # five steps, then the gradient at the final point
+        assert report.grad_evals == 6
+        assert report.value_evals == 1
 
 
 class TestSolveWindowed:
