@@ -48,7 +48,6 @@ from .parallel import (
     solve_parallel,
     relative_error,
     sweep_delta,
-    worker_count_from_env,
 )
 from .certificates import (
     DecayConvexityCertificate,
@@ -105,7 +104,6 @@ __all__ = [
     "solve_parallel",
     "relative_error",
     "sweep_delta",
-    "worker_count_from_env",
     "DecayConvexityCertificate",
     "GammaInterval",
     "certify_linear_gaussian",

@@ -41,7 +41,7 @@ from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
 from .models.spec import _NEURAL, ModelSpec, simulate
 from .objective import eval_U, grad_U
 from .oracles import finite_diff_grad, rts_smoother
-from .parallel import solve_parallel, sweep_delta, worker_count_from_env
+from .parallel import solve_parallel, sweep_delta
 from .solver import SolverConfig, solve_map
 
 EXIT_CONFIG = 2
@@ -124,6 +124,12 @@ def solver_options(fn):
     return fn
 
 
+workers_option = click.option(
+    "--workers", type=int, default=1, show_default=True, envvar="VITERBI_PAR_WORKERS",
+    show_envvar=True, help="worker processes",
+)
+
+
 @click.group()
 def main():
     """MAP path estimation with certified segment-parallel solves."""
@@ -190,7 +196,7 @@ def solve_cmd(model_path, obs_path, out_dir, step_mode, step_size, max_iters, gr
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--l", "num_segments", required=True, type=int, help="number of segments")
 @click.option("--delta", required=True, type=int, help="overlap added on both sides of each segment")
-@click.option("--workers", type=int, default=None, help="worker processes (default VITERBI_PAR_WORKERS or 1)")
+@workers_option
 @click.option("--boundary-mode", type=click.Choice(["marginal-prior", "flat-start", "full-prior"]), default=None,
               help="start term of the windows that begin after index 0 (the first window always "
                    "carries the initial density); default marginal-prior when the signal has "
@@ -203,7 +209,6 @@ def solve_par_cmd(model_path, obs_path, out_dir, num_segments, delta, workers, b
     model = _load_model(model_path, obs_path)
     config = _solver_config(step_mode, step_size, max_iters, grad_tol, gamma)
     plan = build_segment_plan(model.horizon, num_segments, delta)
-    workers = worker_count_from_env(1) if workers is None else workers
     report = solve_parallel(model, plan, config, workers=workers, boundary_mode=boundary_mode)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -283,7 +288,7 @@ def certify_cmd(model_path, obs_path, lambda_g, gamma, lam):
 @click.option("--out", "out_csv", required=True, type=click.Path(dir_okay=False))
 @click.option("--l", "num_segments", required=True, type=int)
 @click.option("--deltas", required=True, help="comma-separated nonnegative overlaps, ascending")
-@click.option("--workers", type=int, default=None)
+@workers_option
 @click.option("--lambda-g", type=float, default=0.0, show_default=True)
 @solver_options
 @handle_errors
@@ -296,7 +301,6 @@ def sweep_cmd(model_path, obs_path, out_csv, num_segments, deltas, workers, lamb
     except ValueError as exc:
         raise ConfigError(f"bad --deltas list: {exc}") from exc
     config = _solver_config(step_mode, step_size, max_iters, grad_tol, gamma)
-    workers = worker_count_from_env(1) if workers is None else workers
     rows, reference, mode = sweep_delta(
         model, num_segments, delta_list, config, workers=workers
     )

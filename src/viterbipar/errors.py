@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code scheme (config 2, I/O 3,
-divergence 4, certification 5).
+divergence 4, certification 5). Its other codes are 1, a ``verify``
+check failed, and 6, a worker process died.
 """
 
 

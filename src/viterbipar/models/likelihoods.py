@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
 from ..errors import CertificationError, ShapeError
-from .signals import _LOG_2PI, _is_diagonal
+from .signals import _LOG_2PI, _as_spd, _is_diagonal
 
 __all__ = [
     "GaussianEmission",
@@ -46,13 +46,7 @@ class GaussianEmission:
         p = self.C.shape[0]
         if self.R.shape != (p, p):
             raise CertificationError(f"R must be {p}x{p}, got {self.R.shape}")
-        if not np.allclose(self.R, self.R.T, rtol=1e-10, atol=1e-12):
-            raise CertificationError("R must be symmetric")
-        try:
-            self._chol_R = np.linalg.cholesky(self.R)
-        except np.linalg.LinAlgError as exc:
-            raise CertificationError("R is not positive definite") from exc
-        self._logdet_R = 2.0 * float(np.sum(np.log(np.diag(self._chol_R))))
+        _, self._chol_R, self._logdet_R = _as_spd("R", self.R)
         self.R_inv = np.linalg.inv(self.R)
         self.RinvC = self.R_inv @ self.C          # used directly by gradients
         self.CtRinvC = self.C.T @ self.RinvC

@@ -9,7 +9,7 @@ Paths are handled as (n+1, d) arrays throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -314,7 +314,6 @@ class HuberNonlinearSignal:
     huber_c: float
     lipschitz_bounds: tuple[float, float, float, float]
     dim_d: int = 0
-    spot_check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float).reshape(-1)
@@ -329,8 +328,7 @@ class HuberNonlinearSignal:
         if any(v < 0 or not math.isfinite(v) for v in self.lipschitz_bounds):
             raise ValueError("Lipschitz bounds must be finite and nonnegative")
         self._log_z = self.dim_d * _huber_log_partition(c)
-        if self.spot_check:
-            self._spot_check_bounds()
+        self._spot_check_bounds()
 
     def _spot_check_bounds(self, points: int = 16, tol: float = 1e-8):
         L_psi, L_grad_psi, L_A, L_grad_A = self.lipschitz_bounds

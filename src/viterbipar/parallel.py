@@ -2,18 +2,22 @@
 concurrently, discard the overlaps, concatenate, and compare against the
 full solve.
 
-The stitched result is deterministic and independent of the worker
-count: each segment is solved by the same sequential arithmetic whether
-it runs inline or in a worker process, and results are collected by
-segment index.
+Each segment's job is its ``WindowedObjective``, built in the parent,
+and the solver configuration. The objective holds only its window's
+slice of the model and the window's start term, so a job's size depends
+on the window length, not on the horizon. The stitched result is
+deterministic and independent of the worker count: each segment is
+solved by the same sequential arithmetic whether it runs inline or in a
+worker process, and results are collected by segment index.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,12 +57,6 @@ def default_boundary_mode(model: ModelSpec) -> str:
     return "marginal-prior"
 
 
-def _solve_one_segment(args):
-    model, window, mode, config = args
-    obj = WindowedObjective(model, window, boundary_mode=mode)
-    return solve_windowed(obj, config)
-
-
 def solve_parallel(
     model: ModelSpec,
     plan: SegmentPlan,
@@ -78,24 +76,22 @@ def solve_parallel(
         )
     mode = boundary_mode or default_boundary_mode(model)
     t_start = time.perf_counter()
-    tasks = [(model, (lo, hi - 1), mode, config) for (lo, hi) in plan.enlarged]
+    jobs = [(WindowedObjective(model, (lo, hi - 1), mode), config) for lo, hi in plan.enlarged]
 
+    inline = workers <= 1 or len(jobs) == 1
+    reports: list[SolveReport] = []
     failures = []
-    reports: list[SolveReport | None] = [None] * len(tasks)
-    if workers <= 1 or len(tasks) == 1:
-        for k, task in enumerate(tasks):
+    with nullcontext() if inline else ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        # calling a result solves its segment here, or waits for the pool's answer
+        if inline:
+            results = [partial(solve_windowed, *job) for job in jobs]
+        else:
+            results = [pool.submit(solve_windowed, *job).result for job in jobs]
+        for k, result in enumerate(results):
             try:
-                reports[k] = _solve_one_segment(task)
+                reports.append(result())
             except DivergenceError as exc:
                 failures.append((k, exc))
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            futures = [pool.submit(_solve_one_segment, task) for task in tasks]
-            for k, fut in enumerate(futures):
-                try:
-                    reports[k] = fut.result()
-                except DivergenceError as exc:
-                    failures.append((k, exc))
     if failures:
         names = ", ".join(f"segment {k} ({exc})" for k, exc in failures)
         raise DivergenceError(
@@ -177,15 +173,3 @@ def sweep_delta(
             )
         )
     return rows, reference, mode
-
-
-def worker_count_from_env(default: int = 1) -> int:
-    """Default worker count, overridable through VITERBI_PAR_WORKERS."""
-    raw = os.environ.get("VITERBI_PAR_WORKERS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)

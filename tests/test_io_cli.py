@@ -15,7 +15,7 @@ from viterbipar.cli import main
 from conftest import random_spikes
 
 
-def _exit_at_once(task):
+def _exit_at_once(objective, config):
     """Stands in for the segment solve in a worker process that dies."""
     os._exit(1)
 
@@ -41,6 +41,18 @@ def write_lg_config(path, a=0.5, sigma_sq=1.0, d=1, chi=None, sigma0="unit"):
         cfg["chi"] = chi
     Path(path).write_text(json.dumps(cfg))
     return path
+
+
+def _two_segment_args(runner, tmp_path, command):
+    """Simulate a conjugate model at n=23 and return the solve-par or sweep
+    arguments that solve it in two segments."""
+    cfg = write_lg_config(tmp_path / "m.json", sigma0="stationary")
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "23", "--seed", "3", "--out", str(sim)])
+    args = [command, "--model", str(cfg), "--obs", str(sim / "observations.csv"), "--l", "2"]
+    if command == "solve-par":
+        return args + ["--out", str(tmp_path / "par"), "--delta", "3"]
+    return args + ["--out", str(tmp_path / "sweep.csv"), "--deltas", "0,3"]
 
 
 class TestTables:
@@ -272,21 +284,42 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["solve-par", "sweep"])
     def test_dead_worker_exits_6(self, runner, tmp_path, monkeypatch, command):
-        cfg = write_lg_config(tmp_path / "m.json", sigma0="stationary")
-        sim = tmp_path / "sim"
-        runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "23", "--seed", "3", "--out", str(sim)])
-        monkeypatch.setattr("viterbipar.parallel._solve_one_segment", _exit_at_once)
-        args = ["--model", str(cfg), "--obs", str(sim / "observations.csv"), "--l", "2",
-                "--workers", "2"]
-        if command == "solve-par":
-            args += ["--out", str(tmp_path / "par"), "--delta", "3"]
-        else:
-            args += ["--out", str(tmp_path / "sweep.csv"), "--deltas", "0,3"]
-        r = runner.invoke(main, [command] + args)
+        args = _two_segment_args(runner, tmp_path, command)
+        monkeypatch.setattr("viterbipar.parallel.solve_windowed", _exit_at_once)
+        r = runner.invoke(main, args + ["--workers", "2"])
         assert r.exit_code == 6, r.output
         lines = r.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("worker failure:")
         assert "--workers 1" in lines[0]
+
+    @pytest.mark.parametrize("command, target", [("solve-par", "solve_parallel"),
+                                                 ("sweep", "sweep_delta")])
+    @pytest.mark.parametrize("env, flag, expected", [("3", None, 3), ("3", "2", 2), (None, None, 1)])
+    def test_workers_from_env_or_option(self, runner, tmp_path, monkeypatch, command, target,
+                                        env, flag, expected):
+        import viterbipar.cli
+
+        args = _two_segment_args(runner, tmp_path, command)
+        if flag is not None:
+            args += ["--workers", flag]
+        seen = []
+        real = getattr(viterbipar.cli, target)
+
+        def spy(*a, workers, **kw):
+            seen.append(workers)
+            return real(*a, workers=1, **kw)
+
+        monkeypatch.setattr(viterbipar.cli, target, spy)
+        r = runner.invoke(main, args, env={"VITERBI_PAR_WORKERS": env})
+        assert r.exit_code == 0, r.output
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("command", ["solve-par", "sweep"])
+    def test_malformed_worker_env_exits_2(self, runner, tmp_path, command):
+        args = _two_segment_args(runner, tmp_path, command)
+        r = runner.invoke(main, args, env={"VITERBI_PAR_WORKERS": "junk"})
+        assert r.exit_code == 2, r.output
+        assert "--workers" in r.stderr and "junk" in r.stderr
 
     def test_verify_passes_on_conjugate_model(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json", a=0.5)

@@ -1,5 +1,8 @@
 """Segment-overlap parallel solves: stitching, determinism, error decay."""
 
+import pickle
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -11,10 +14,10 @@ from viterbipar import (
     solve_map,
     solve_parallel,
     sweep_delta,
-    worker_count_from_env,
 )
+from viterbipar.errors import DivergenceError, UnsupportedModeError
 
-from conftest import gaussian_model_with_obs
+from conftest import gaussian_model_with_obs, huber_signal, neural_model, student_model
 
 
 def _model(n=47, a=0.7, seed=21):
@@ -97,12 +100,15 @@ class TestSolveParallel:
         model = _model(n=23)
         plan = build_segment_plan(23, 4, 2)
         bad = SolverConfig(step_mode="fixed", step_size=100.0, max_iters=300, grad_tol=0.0)
-        from viterbipar.errors import DivergenceError
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as err:
-                solve_parallel(model, plan, bad, workers=1)
-        assert err.value.segments  # at least one segment named
+        named = []
+        for workers in (1, 2):  # inline, then collected from the pool
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceError) as err:
+                    solve_parallel(model, plan, bad, workers=workers)
+            assert err.value.segments  # at least one segment named
+            named.append(err.value.segments)
+        assert named[0] == named[1]
 
 
 class TestNonConjugateParallel:
@@ -176,11 +182,57 @@ class TestSweep:
             sweep_delta(model, 4, [3, 0], CONFIG)
 
 
-class TestWorkerEnv:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv("VITERBI_PAR_WORKERS", raising=False)
-        assert worker_count_from_env(3) == 3
-        monkeypatch.setenv("VITERBI_PAR_WORKERS", "7")
-        assert worker_count_from_env(3) == 7
-        monkeypatch.setenv("VITERBI_PAR_WORKERS", "junk")
-        assert worker_count_from_env(3) == 3
+def _pickling_executor(sizes):
+    """A stand-in for the process pool that pickles each submitted job, as
+    the pool would, records its size, and solves the unpickled copy here."""
+
+    class PicklingExecutor:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def submit(self, fn, *job):
+            blob = pickle.dumps(job)
+            sizes.append(len(blob))
+            future = Future()
+            future.set_result(fn(*pickle.loads(blob)))
+            return future
+
+    return PicklingExecutor
+
+
+class TestSegmentJobs:
+    @pytest.mark.parametrize("build", [
+        lambda n: _model(n=n),
+        lambda n: neural_model(N=3, R=2, n=n, seed=5),
+    ], ids=["gaussian", "spikes"])
+    def test_job_size_follows_the_window_not_the_horizon(self, monkeypatch, build):
+        # segments of 6 indices with overlap 2 on a horizon n and on 4n
+        config = SolverConfig(grad_tol=1e-8, max_iters=2000)
+        sizes = {}
+        for n, num_segments in ((23, 4), (95, 16)):
+            model = build(n)
+            plan = build_segment_plan(n, num_segments, 2)
+            sizes[n] = []
+            monkeypatch.setattr("viterbipar.parallel.ProcessPoolExecutor",
+                                _pickling_executor(sizes[n]))
+            shipped = solve_parallel(model, plan, config, workers=2)
+            assert len(sizes[n]) == num_segments
+            inline = solve_parallel(model, plan, config, workers=1)
+            assert np.array_equal(shipped.stitched.blocks, inline.stitched.blocks)
+        assert set(sizes[23]) == set(sizes[95])
+
+    def test_unbuildable_window_fails_before_the_pool_starts(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the pool started before every window was built")
+
+        monkeypatch.setattr("viterbipar.parallel.ProcessPoolExecutor", no_pool)
+        model = student_model(n=23, d=2, signal=huber_signal(d=2, scale=0.2))
+        with pytest.raises(UnsupportedModeError):
+            solve_parallel(model, build_segment_plan(23, 4, 2), CONFIG, workers=2,
+                           boundary_mode="marginal-prior")
