@@ -9,6 +9,7 @@ check failed, 2 configuration error, 3 I/O error, 4 solver divergence,
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -256,14 +257,10 @@ def certify_cmd(model_path, obs_path, lambda_g, gamma, lam):
     if gamma is not None:
         if not cert.gamma_interval.contains(gamma):
             raise CertificationError(f"gamma={gamma} outside the feasible interval")
-        import dataclasses
-
         cert = dataclasses.replace(
             cert, chosen_gamma=gamma, chosen_lambda=lambda_max(cert, gamma)
         )
     if lam is not None:
-        import dataclasses
-
         cap = lambda_max(cert, cert.chosen_gamma)
         if not 0 < lam <= cap:
             raise CertificationError(f"lambda={lam} not in (0, {cap:g}]")

@@ -228,12 +228,12 @@ def _build_likelihood(cfg, base_dir):
     raise ConfigError(f"likelihood: unknown type {kind!r}")
 
 
-def load_model_config(path, observations=None) -> ModelSpec:
+def load_model_config(path) -> ModelSpec:
     """Build a ModelSpec from a JSON document.
 
     The document holds ``signal`` and ``likelihood`` objects whose fields
     mirror the family constructors (matrices as row-major nested arrays),
-    plus an optional top-level ``chi``.
+    plus an optional top-level ``chi``. The spec holds no observations.
     """
     path = Path(path)
     try:
@@ -246,12 +246,7 @@ def load_model_config(path, observations=None) -> ModelSpec:
     signal = _build_signal(cfg["signal"], path.parent)
     likelihood = _build_likelihood(cfg["likelihood"], path.parent)
     chi = cfg.get("chi")
-    return ModelSpec(
-        signal,
-        likelihood,
-        observations=observations,
-        chi=float(chi) if chi is not None else None,
-    )
+    return ModelSpec(signal, likelihood, chi=float(chi) if chi is not None else None)
 
 
 def write_sweep_csv(path, rows, bounds=None):

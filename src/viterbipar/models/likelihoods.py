@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
 
 from ..errors import CertificationError, ShapeError
 from .signals import _LOG_2PI, _as_spd, _is_diagonal
@@ -189,6 +188,19 @@ def _chunks(T: int, width: int):
     return (slice(s, min(s + step, T)) for s in range(0, T, step))
 
 
+def _softmax(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax of a 2-D array and the rows' log-sum-exp.
+
+    Both come from exp(E - top) with top the row maxima, so no finite
+    entry overflows.
+    """
+    top = np.max(E, axis=1, keepdims=True)
+    P = np.exp(E - top)
+    total = np.sum(P, axis=1, keepdims=True)
+    P /= total
+    return P, (top + np.log(total))[:, 0]
+
+
 def coupling_matrix(x: np.ndarray, N: int) -> np.ndarray:
     """Symmetric zero-diagonal coupling matrix from the flat vector x.
 
@@ -269,7 +281,8 @@ class NeuralPseudo(_NeuralBase):
 
     def grad(self, xs, ys):
         z, yc = self._fields(xs, ys)
-        D = ys * (1.0 - expit(ys * z))  # (T, R, N)
+        # 1 - expit(ys z), by tanh so that no finite field overflows
+        D = ys * (0.5 * (1.0 - np.tanh(0.5 * (ys * z))))  # (T, R, N)
         M = np.matmul(np.swapaxes(D, 1, 2), yc)
         return _flat_upper(M + np.swapaxes(M, 1, 2)) / self.R
 
@@ -305,13 +318,13 @@ class NeuralExact(_NeuralBase):
     def _log_normalizers(self, xs):
         out = np.empty(xs.shape[0])
         for sl in _chunks(xs.shape[0], self._pairs.shape[0]):
-            out[sl] = logsumexp(xs[sl] @ self._pairs.T, axis=1)
+            out[sl] = _softmax(xs[sl] @ self._pairs.T)[1]
         return out
 
     def _normalizer_grads(self, xs):
         out = np.empty_like(xs)
         for sl in _chunks(xs.shape[0], self._pairs.shape[0]):
-            out[sl] = softmax(xs[sl] @ self._pairs.T, axis=1) @ self._pairs
+            out[sl] = _softmax(xs[sl] @ self._pairs.T)[0] @ self._pairs
         return out
 
     def _suff(self, ys):
@@ -364,7 +377,7 @@ def _sample_exact_field(family, xs, rng):
     u = rng.random((T, R))
     picks = np.empty((T, R), dtype=np.int64)
     for sl in _chunks(T, R * configs.shape[0]):
-        cdf = np.cumsum(softmax(xs[sl] @ pairs.T, axis=1), axis=1)
+        cdf = np.cumsum(_softmax(xs[sl] @ pairs.T)[0], axis=1)
         cdf /= cdf[:, -1:]
         picks[sl] = np.count_nonzero(cdf[:, None, :] <= u[sl, :, None], axis=2)
     return configs[picks]

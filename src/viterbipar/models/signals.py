@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ..errors import CertificationError, UnsupportedModeError
 
@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# relative size of the last doubling increment that stationary_covariance adds
+_STATIONARY_TOL = 1e-14
 
 
 def _as_spd(name: str, M) -> tuple[np.ndarray, np.ndarray, float]:
@@ -51,14 +53,14 @@ def _is_diagonal(M: np.ndarray) -> bool:
     return np.count_nonzero(M - np.diag(np.diag(M))) == 0
 
 
-def stationary_covariance(A: np.ndarray, Sigma: np.ndarray, tol: float = 1e-14) -> np.ndarray:
+def stationary_covariance(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     """Stationary covariance of x' = A x + w, w ~ N(0, Sigma).
 
     Sums the series Sigma + A Sigma A' + A^2 Sigma A^2' + ... by doubling:
     P <- P + A_k P A_k', A_k <- A_k^2 adds the next 2^k terms at once. The
-    recursion stops once an increment falls below ``tol`` relative to P,
-    when the remainder is of order tol^2. Requires the spectral radius of
-    A to be below one.
+    recursion stops once an increment falls below ``_STATIONARY_TOL``
+    relative to P, when the remainder is of order its square. Requires the
+    spectral radius of A to be below one.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
@@ -70,7 +72,7 @@ def stationary_covariance(A: np.ndarray, Sigma: np.ndarray, tol: float = 1e-14) 
     for _ in range(64):
         term = Ak @ P @ Ak.T
         P += term
-        if np.max(np.abs(term)) <= tol * np.max(np.abs(P)):
+        if np.max(np.abs(term)) <= _STATIONARY_TOL * np.max(np.abs(P)):
             break
         Ak = Ak @ Ak
     return 0.5 * (P + P.T)
@@ -196,11 +198,12 @@ class LinearGaussianSignal:
         return mean, cov
 
     def sample_path(self, horizon_n: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dim
-        xs = np.empty((horizon_n + 1, d))
-        xs[0] = self.b0 + self._chol_S0 @ rng.standard_normal(d)
+        # one draw of all the noise yields the same stream as a draw per step
+        z = rng.standard_normal((horizon_n + 1, self.dim))
+        xs = np.empty_like(z)
+        xs[0] = self.b0 + self._chol_S0 @ z[0]
         for m in range(1, horizon_n + 1):
-            xs[m] = self.A @ xs[m - 1] + self.b + self._chol_S @ rng.standard_normal(d)
+            xs[m] = self.A @ xs[m - 1] + self.b + self._chol_S @ z[m]
         return xs
 
 
@@ -220,15 +223,16 @@ def huber_grad(t: np.ndarray, c: float) -> np.ndarray:
     return np.where(np.abs(t) <= c, t / c, np.sign(t))
 
 
-def _huber_log_partition(c: float) -> float:
-    """log integral of exp(-huber(t, c)) over the real line.
+def _huber_masses(c: float) -> tuple[float, float]:
+    """Integrals of exp(-huber(t, c)) over the core [-c, c] and over both
+    tails; their sum is the partition function.
 
-    Gaussian core of variance c on [-c, c] plus two exponential tails.
+    The core is a Gaussian of variance c, whose mass on [-c, c] is
+    sqrt(2 pi c) (2 Phi(sqrt c) - 1) = sqrt(2 pi c) erf(sqrt(c / 2)); each
+    tail is an exponential of mass exp(-c / 2).
     """
-    root_c = math.sqrt(c)
-    core = math.sqrt(2.0 * math.pi * c) * (2.0 * ndtr(root_c) - 1.0)
-    tails = 2.0 * math.exp(-0.5 * c)
-    return math.log(core + tails)
+    core = math.sqrt(2.0 * math.pi * c) * math.erf(math.sqrt(0.5 * c))
+    return core, 2.0 * math.exp(-0.5 * c)
 
 
 def _sample_huber_noise(c: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -238,19 +242,17 @@ def _sample_huber_noise(c: float, size: int, rng: np.random.Generator) -> np.nda
     its exact mass, then sample that component without rejection (the core
     via the Gaussian quantile restricted to [-c, c]).
     """
-    root_c = math.sqrt(c)
-    mass_core = math.sqrt(2.0 * math.pi * c) * (2.0 * ndtr(root_c) - 1.0)
-    mass_tails = 2.0 * math.exp(-0.5 * c)
-    p_core = mass_core / (mass_core + mass_tails)
+    mass_core, mass_tails = _huber_masses(c)
     u = rng.random(size)
-    take_core = u < p_core
+    take_core = u < mass_core / (mass_core + mass_tails)
     out = np.empty(size)
     n_core = int(np.count_nonzero(take_core))
     if n_core:
-        lo = ndtr(-root_c)
-        hi = ndtr(root_c)
-        v = lo + (hi - lo) * rng.random(n_core)
-        out[take_core] = root_c * ndtri(v)
+        # Phi(-sqrt c) and Phi(sqrt c) bound the core's uniforms
+        lo = 0.5 * math.erfc(math.sqrt(0.5 * c))
+        v = lo + (1.0 - 2.0 * lo) * rng.random(n_core)
+        quantile = NormalDist(0.0, math.sqrt(c)).inv_cdf
+        out[take_core] = np.fromiter(map(quantile, v.tolist()), float, n_core)
     n_tail = size - n_core
     if n_tail:
         signs = np.where(rng.random(n_tail) < 0.5, -1.0, 1.0)
@@ -327,7 +329,7 @@ class HuberNonlinearSignal:
         self.lipschitz_bounds = tuple(float(v) for v in self.lipschitz_bounds)
         if any(v < 0 or not math.isfinite(v) for v in self.lipschitz_bounds):
             raise ValueError("Lipschitz bounds must be finite and nonnegative")
-        self._log_z = self.dim_d * _huber_log_partition(c)
+        self._log_z = self.dim_d * math.log(sum(_huber_masses(c)))  # log partition
         self._spot_check_bounds()
 
     def _spot_check_bounds(self, points: int = 16, tol: float = 1e-8):
@@ -387,9 +389,9 @@ class HuberNonlinearSignal:
 
     def sample_path(self, horizon_n: int, rng: np.random.Generator) -> np.ndarray:
         d = self.dim_d
-        xs = np.empty((horizon_n + 1, d))
-        xs[0] = _sample_huber_noise(self.huber_c, d, rng)
+        w = _sample_huber_noise(self.huber_c, (horizon_n + 1) * d, rng).reshape(horizon_n + 1, d)
+        xs = np.empty_like(w)
+        xs[0] = w[0]
         for m in range(1, horizon_n + 1):
-            w = _sample_huber_noise(self.huber_c, d, rng)
-            xs[m] = np.asarray(self.drift_map(xs[m - 1]), dtype=float) + self.b + w
+            xs[m] = np.asarray(self.drift_map(xs[m - 1]), dtype=float) + self.b + w[m]
         return xs

@@ -162,18 +162,16 @@ def grad_phi_tilde(model: ModelSpec, x, index_n: int) -> np.ndarray:
 # Hessian quadratic forms
 # ---------------------------------------------------------------------------
 
-def hessian_quadratic_form(
-    model: ModelSpec,
-    x,
-    v,
-    w: GammaWeight,
-    eps0: float = 1e-5,
-) -> float:
+# gradient difference step along v, before scaling by its discounted norm
+_HESSIAN_STEP = 1e-5
+
+
+def hessian_quadratic_form(model: ModelSpec, x, v, w: GammaWeight) -> float:
     """Discounted quadratic form of the objective curvature along v at x.
 
-    Uses the symmetric difference of the gradient with step eps0 scaled by
-    the discounted norm of v, paired with the discounted inner product.
-    Exact (up to roundoff) for models with quadratic objectives.
+    Uses the symmetric difference of the gradient with step _HESSIAN_STEP
+    scaled by the discounted norm of v, paired with the discounted inner
+    product. Exact (up to roundoff) for models with quadratic objectives.
     """
     obj = FullObjective(model)
     xs = _as_blocks(x)
@@ -184,6 +182,6 @@ def hessian_quadratic_form(
     vnorm = _weighted_norm(vs, weights)
     if vnorm == 0.0:
         return 0.0
-    eps = eps0 / vnorm
+    eps = _HESSIAN_STEP / vnorm
     hv = (obj.grad(xs + eps * vs) - obj.grad(xs - eps * vs)) / (2.0 * eps)
     return float(np.einsum("md,md->m", vs, hv) @ weights)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from viterbipar import PathVector
+from viterbipar import ModelSpec, PathVector
 from viterbipar import io as vio
 from viterbipar.cli import main
 
@@ -95,7 +95,8 @@ class TestTables:
             "likelihood": {"type": "stoch_vol", "B": [[1.0], [0.5]], "factors_csv": "z.csv"},
         }
         (tmp_path / "m.json").write_text(json.dumps(cfg))
-        model = vio.load_model_config(tmp_path / "m.json", observations=np.zeros((8, 2)))
+        spec = vio.load_model_config(tmp_path / "m.json")
+        model = ModelSpec(spec.signal, spec.likelihood, observations=np.zeros((8, 2)))
         assert model.likelihood.factor_means.shape == (8, 2)
 
     def test_bad_config_raises(self, tmp_path):

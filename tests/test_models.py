@@ -1,11 +1,13 @@
 """Model families: local gradients, bookkeeping quantities, simulation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from scipy.special import expit, logsumexp
+from scipy import stats
+from scipy.special import expit, logsumexp, ndtr, softmax
 
 from viterbipar import (
     GammaWeight,
@@ -29,6 +31,7 @@ from viterbipar import (
     stationary_covariance,
 )
 from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber_grad
+from viterbipar.models.likelihoods import _softmax
 from viterbipar.errors import ShapeError, UnsupportedBoundError
 
 from conftest import (
@@ -351,7 +354,7 @@ class TestBatchedKernels:
             z = (yc @ _coupling_loop(xs[m], N)) / R
             yz = spikes[m] * z
             want_val[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
-            D = spikes[m] * (1.0 - expit(spikes[m] * z))
+            D = spikes[m] * (0.5 * (1.0 - np.tanh(0.5 * (spikes[m] * z))))
             M = D.T @ yc
             want_grad[m] = (M + M.T)[iu] / R
             np.testing.assert_array_equal(lik.fields(xs[m], spikes[m]), z)
@@ -420,6 +423,86 @@ class TestBatchedKernels:
         for m in range(39):
             want[m] += sig.drift_map.jacobian(xs[m]).T @ gpsi[m]
         np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
+
+
+class TestScipyReferences:
+    """The numpy kernels of the spiking families against scipy.special, at
+    moderate fields and at fields far beyond exp's overflow point. Every
+    floating-point warning is an error here; underflow stays silent, as
+    numpy has it by default."""
+
+    @pytest.mark.parametrize("scale", [0.5, 400.0])
+    def test_neural_pseudo_grad_matches_expit(self, rng, scale):
+        # with R = 1 and centered spikes of size 1/2, scale 400 puts the
+        # largest |z| above 800
+        N, R, T = 6, 1, 40
+        spikes = random_spikes(N, R, T, seed=31)
+        lik = NeuralPseudo(N, R, rates_c=np.full(N, 0.5), spikes=spikes)
+        xs = scale * rng.standard_normal((T, lik.d))
+        iu = np.triu_indices(N, k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lik.grad(xs, spikes)
+        z = np.stack([lik.fields(xs[m], spikes[m]) for m in range(T)])
+        if scale > 1.0:
+            assert np.max(np.abs(z)) > 800.0
+        want = np.empty((T, lik.d))
+        for m in range(T):
+            yc = spikes[m] - lik.rates_c
+            D = spikes[m] * expit(-spikes[m] * z[m])
+            M = D.T @ yc
+            want[m] = (M + M.T)[iu] / R
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
+
+    @pytest.mark.parametrize("scale", [0.5, 800.0])
+    def test_neural_exact_matches_logsumexp_and_softmax(self, rng, scale):
+        N, R, T = 5, 3, 30
+        spikes = random_spikes(N, R, T, seed=32)
+        lik = NeuralExact(N, R, spikes=spikes)
+        xs = scale * rng.standard_normal((T, lik.d))
+        Ec = _centered_configs(N, lik.rates_c)
+        E = np.stack([0.5 * np.einsum("ci,ci->c", Ec @ _coupling_loop(x, N), Ec) for x in xs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_z = np.array([lik.log_normalizer(x) for x in xs])
+            grads = np.stack([lik.normalizer_grad(x) for x in xs])
+        iu = np.triu_indices(N, k=1)
+        want_grads = np.stack([(Ec.T @ (p[:, None] * Ec))[iu] for p in softmax(E, axis=1)])
+        np.testing.assert_allclose(log_z, logsumexp(E, axis=1), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(grads, want_grads, rtol=0, atol=1e-13)
+
+    def test_softmax_helper_at_extreme_arguments(self, rng):
+        E = np.vstack([
+            rng.uniform(-3.0, 3.0, (4, 64)),
+            rng.uniform(-800.0, 800.0, (4, 64)),
+            np.full((1, 64), 800.0),
+            np.full((1, 64), -800.0),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P, lse = _softmax(E)
+        np.testing.assert_allclose(P, softmax(E, axis=1), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(lse, logsumexp(E, axis=1), rtol=2e-15, atol=0)
+
+    @pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("seed", [41, 42])
+    def test_huber_noise_kolmogorov_smirnov(self, c, seed):
+        # zero drift: every entry is a fresh draw from exp(-huber(., c)) / Z
+        sig = huber_signal(d=10, scale=0.0, c=c)
+        w = sig.sample_path(9_999, np.random.default_rng(seed)).ravel()
+        root_c = math.sqrt(c)
+        core = math.sqrt(2 * math.pi * c) * (2 * ndtr(root_c) - 1)
+        Z = core + 2 * math.exp(-0.5 * c)
+
+        def cdf(t):
+            t = np.asarray(t, dtype=float)
+            left = np.exp(t + 0.5 * c) / Z
+            mid = (math.exp(-0.5 * c) + math.sqrt(2 * math.pi * c) * (ndtr(t / root_c) - ndtr(-root_c))) / Z
+            right = 1.0 - np.exp(-t + 0.5 * c) / Z
+            return np.where(t <= -c, left, np.where(t <= c, mid, right))
+
+        assert cdf(-c) + (1.0 - cdf(c)) == pytest.approx(2 * math.exp(-0.5 * c) / Z, rel=1e-12)
+        assert stats.kstest(w, cdf).pvalue > 1e-3
 
 
 class TestModelSpecPrefix:

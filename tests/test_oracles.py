@@ -139,3 +139,27 @@ class TestExactNeuralNormalizer:
     def test_size_cap(self):
         with pytest.raises(ShapeError):
             NeuralExact(11, 1, spikes=np.zeros((1, 1, 11)))
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_family_normalizer_and_log_terms_match_enumeration(self, N, rng):
+        R, T = 3, 6
+        spikes = random_spikes(N, R, T, seed=10 + N)
+        lik = NeuralExact(N, R, rates_c=rng.uniform(0.1, 0.9, N), spikes=spikes)
+        xs = 1.5 * rng.standard_normal((T, lik.d))
+        want = np.array([exact_neural_normalizer(lik, x) for x in xs])
+        for m in range(T):
+            assert lik.log_normalizer(xs[m]) == pytest.approx(want[m], rel=1e-13, abs=1e-13)
+        # sufficient statistic: mean over trials of (s_i - c_i)(s_j - c_j), i < j
+        yc = spikes - lik.rates_c
+        suff = np.array([
+            [np.mean(yc[m, :, i] * yc[m, :, j]) for i in range(N) for j in range(i + 1, N)]
+            for m in range(T)
+        ])
+        np.testing.assert_allclose(
+            lik.log_terms(xs, spikes), np.sum(xs * suff, axis=1) - want, rtol=1e-13, atol=1e-13
+        )
+
+    def test_rejects_wrong_coupling_length(self):
+        lik = NeuralExact(3, 1, spikes=random_spikes(3, 1, 2))
+        with pytest.raises(ShapeError):
+            exact_neural_normalizer(lik, np.zeros(2))

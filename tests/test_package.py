@@ -1,8 +1,14 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and the runtime needs no scipy."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import viterbipar
 
 
 @pytest.mark.parametrize("module", ["viterbipar", "viterbipar.models"])
@@ -12,3 +18,15 @@ def test_all_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this one has scipy loaded by the test references
+    src = str(Path(viterbipar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, viterbipar.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
