@@ -29,9 +29,6 @@ from .models import (
     NeuralExact,
     neural_pseudo_field,
     ModelSpec,
-    beta_m,
-    alpha_gamma_n,
-    eta_bound,
     simulate,
 )
 from .objective import (
@@ -56,6 +53,9 @@ from .certificates import (
     certify_huber,
     feasible_gamma_interval,
     lambda_max,
+    beta_m,
+    alpha_gamma_n,
+    eta_bound,
     viterbi_distance_bound_eta,
     viterbi_distance_bound_chi,
     segment_overlap_error_bound,

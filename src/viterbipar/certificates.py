@@ -1,5 +1,10 @@
 """Decay-convexity certificates and the quantitative accuracy bounds.
 
+The bounds read beta_m (the worst squared local gradient norm at the
+zero path), its discounted running sum alpha and the ball bound eta,
+all defined here. Each evaluator builds the beta array once, over its
+longest index range, and reads every term from it.
+
 A certificate packages the per-block concavity constants (zeta for
 interior blocks, zeta_tilde for boundary blocks) against the cross-time
 coupling strength theta, the feasible discount interval for gamma, and
@@ -18,14 +23,15 @@ which is reported in the docstrings of the evaluators).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from .core import GammaWeight, gamma_weights
-from .errors import CertificationError
+from .errors import CertificationError, UnsupportedBoundError
+from .models.likelihoods import StochVolFactor
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
-from .models.spec import ModelSpec, _beta_array, alpha_gamma_n, eta_bound
+from .models.spec import ModelSpec
 from .objective import FullObjective
 
 __all__ = [
@@ -35,6 +41,9 @@ __all__ = [
     "certify_huber",
     "feasible_gamma_interval",
     "lambda_max",
+    "beta_m",
+    "alpha_gamma_n",
+    "eta_bound",
     "viterbi_distance_bound_eta",
     "viterbi_distance_bound_chi",
     "segment_overlap_error_bound",
@@ -131,27 +140,17 @@ def lambda_max(cert: DecayConvexityCertificate, gamma: float) -> float:
 
 def _finalize(zeta: float, zeta_tilde: float, theta: float, lambda_g: float) -> DecayConvexityCertificate:
     interval = _interval_from_constants(zeta, zeta_tilde, theta)
-    feasible = not interval.empty
     cert = DecayConvexityCertificate(
         zeta=zeta,
         zeta_tilde=zeta_tilde,
         theta=theta,
         lambda_g=lambda_g,
-        feasible=feasible,
+        feasible=not interval.empty,
         gamma_interval=interval,
     )
-    if feasible:
+    if cert.feasible:
         g = interval.midpoint()
-        cert = DecayConvexityCertificate(
-            zeta=zeta,
-            zeta_tilde=zeta_tilde,
-            theta=theta,
-            lambda_g=lambda_g,
-            feasible=True,
-            gamma_interval=interval,
-            chosen_gamma=g,
-            chosen_lambda=lambda_max(cert, g),
-        )
+        cert = replace(cert, chosen_gamma=g, chosen_lambda=lambda_max(cert, g))
     return cert
 
 
@@ -166,9 +165,9 @@ def certify_linear_gaussian(signal: LinearGaussianSignal, lambda_g: float = 0.0)
     """
     if not isinstance(signal, LinearGaussianSignal):
         raise CertificationError("certify_linear_gaussian needs a LinearGaussianSignal")
-    ata = signal.A.T @ signal.A
-    rho_min_ata = float(np.min(np.linalg.eigvalsh(ata)))
-    rho_max_ata = float(np.max(np.linalg.eigvalsh(ata)))
+    ata_eigs = np.linalg.eigvalsh(signal.A.T @ signal.A)
+    rho_min_ata = float(np.min(ata_eigs))
+    rho_max_ata = float(np.max(ata_eigs))
     sig_eigs = np.linalg.eigvalsh(signal.Sigma)
     sig0_eigs = np.linalg.eigvalsh(signal.Sigma0)
     rho_max_sigma = float(np.max(sig_eigs))
@@ -196,6 +195,126 @@ def certify_huber(signal: HuberNonlinearSignal, lambda_g: float) -> DecayConvexi
     zeta = -(L_grad_psi + L_A ** 2 * L_grad_psi + L_psi * L_grad_A) - lambda_g
     theta = L_grad_psi * L_A
     return _finalize(zeta, zeta, theta, lambda_g)
+
+
+# ---------------------------------------------------------------------------
+# beta / alpha / eta at the zero path
+# ---------------------------------------------------------------------------
+
+def _beta_array(model: ModelSpec, upto: int) -> np.ndarray:
+    """beta_m for m = 0..upto in one vectorized pass.
+
+    beta_m is the larger of the squared boundary- and interior-style local
+    gradient norms at the all-zero path. Index 0 and the data horizon keep
+    only the boundary branch (matching the finite-horizon gradient
+    blocks); every interior index takes the max over both branches.
+    """
+    model.require_horizon(upto)
+    d = model.dim
+    sig = model.signal
+    # the transition gradient on a zero 3-block path: block 0 carries the
+    # forward transition only, block 1 both, block 2 the backward only
+    fwd, both, bwd = sig.grad_log_transitions(np.zeros((3, d)))
+    gk = model.grad_log_g(np.zeros((upto + 1, d)))
+
+    tilde = bwd + gk
+    tilde[0] = sig.grad_log_mu(np.zeros(d)) + (fwd if model.horizon >= 1 else 0.0) + gk[0]
+    beta = np.einsum("md,md->m", tilde, tilde)
+    last = min(upto, model.horizon - 1)
+    if last >= 1:
+        inner = both + gk[1 : last + 1]
+        np.maximum(beta[1 : last + 1], np.einsum("md,md->m", inner, inner),
+                   out=beta[1 : last + 1])
+    return beta
+
+
+def _alpha(beta: np.ndarray, gamma: float, n: int) -> float:
+    """sum_{m<=n} gamma^(n-m) beta[m], as a running sum."""
+    acc = 0.0
+    for m in range(n + 1):
+        acc = acc * gamma + beta[m]
+    return float(acc)
+
+
+def beta_m(model: ModelSpec, index_m: int) -> float:
+    """Worst squared local gradient norm at the zero path for index m."""
+    m = int(index_m)
+    if m < 0:
+        raise IndexError(f"index must be nonnegative, got {m}")
+    model.require_horizon(m)
+    return float(_beta_array(model, m)[m])
+
+
+def alpha_gamma_n(model: ModelSpec, w: GammaWeight, horizon: int) -> float:
+    """Discounted running sum of beta: sum_{m<=n} gamma^(n-m) beta_m."""
+    n = int(horizon)
+    return _alpha(_beta_array(model, n), w.gamma, n)
+
+
+def eta_bound(model: ModelSpec, index_n: int, radius_r: float, w: GammaWeight) -> float:
+    """Certified upper bound on the worst local gradient over a ball.
+
+    The ball is measured in the index-centered discounted norm with radius
+    sqrt(r). Two routes exist:
+
+    * the factor-volatility model (with b = b0 = 0) gets its specialized
+      crude bound, built from the signal eigen-extremes and an
+      exp(sqrt(r))-weighted data term;
+    * otherwise the quadratic-growth route beta_n + chi r / gamma is used
+      and requires ``model.chi``.
+    """
+    r = float(radius_r)
+    if r < 0:
+        raise ValueError(f"radius must be nonnegative, got {r}")
+    n = int(index_n)
+    model.require_horizon(n)
+    return _eta(model, n, r, w)
+
+
+def _eta(model: ModelSpec, n: int, r: float, w: GammaWeight, beta: np.ndarray | None = None) -> float:
+    """:func:`eta_bound` at a checked (n, r). A caller that has built the
+    beta array through n passes it; otherwise beta_n is computed here."""
+    if isinstance(model.likelihood, StochVolFactor) and isinstance(model.signal, LinearGaussianSignal):
+        return _eta_bound_stoch_vol(model, n, r, w)
+    if model.chi is None:
+        raise UnsupportedBoundError(
+            "no eta bound available: model.chi is unset and no specialized bound applies"
+        )
+    beta_n = beta_m(model, n) if beta is None else float(beta[n])
+    return beta_n + model.chi * r / w.gamma
+
+
+def _eta_bound_stoch_vol(model: ModelSpec, n: int, r: float, w: GammaWeight) -> float:
+    """Crude certified bound for the factor-volatility model, b = b0 = 0.
+
+    Same shape as the generic derivation: a term linear in the ball radius
+    covering the transition/initial gradients (blocks n-1, n+1 enter with
+    the 1/sqrt(gamma)-inflated radius), plus the data term, which takes
+    the worse of the exp(+-sqrt(r)) endpoints of each squared emission
+    gradient coordinate. Deliberately conservative: the two pieces are
+    combined with a factor-2 split instead of a sharp sup.
+    """
+    sig = model.signal
+    lik = model.likelihood
+    if np.any(sig.b != 0.0) or np.any(sig.b0 != 0.0):
+        raise UnsupportedBoundError(
+            "factor-volatility eta bound is derived for b = b0 = 0"
+        )
+    AtA = sig.A.T @ sig.A
+    a_norm = math.sqrt(float(np.max(np.linalg.eigvalsh(AtA))))
+    rho_min_sigma = float(np.min(np.linalg.eigvalsh(sig.Sigma)))
+    rho_min_sigma0 = float(np.min(np.linalg.eigvalsh(sig.Sigma0)))
+    inv_g = 1.0 / math.sqrt(w.gamma)
+    c_interior = (1.0 + 2.0 * a_norm * inv_g + a_norm ** 2) / rho_min_sigma
+    c_start = 1.0 / rho_min_sigma0 + (a_norm * inv_g + a_norm ** 2) / rho_min_sigma
+    c_end = (1.0 + a_norm * inv_g) / rho_min_sigma
+    c1 = max(c_interior, c_start, c_end)
+    linear = 2.0 * r * c1 * c1
+    resid_sq = (model.observations[n] - lik.factor_means[n]) ** 2
+    lo = (resid_sq * math.exp(-math.sqrt(r)) - 1.0) ** 2
+    hi = (resid_sq * math.exp(math.sqrt(r)) - 1.0) ** 2
+    data = 2.0 * 0.25 * float(np.sum(np.maximum(lo, hi)))
+    return linear + data
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +348,15 @@ def viterbi_distance_bound_eta(
     a lower bound on the untruncated expression).
     """
     gamma, lam = _require_chosen(cert)
-    if tail_horizon < n + 2:
-        raise ValueError("tail_horizon must be at least n + 2")
+    if n < 0 or tail_horizon < n + 2:
+        raise ValueError("n must be nonnegative and tail_horizon at least n + 2")
     model.require_horizon(tail_horizon)
     beta = _beta_array(model, tail_horizon)
     w = GammaWeight(gamma)
-    alpha = alpha_gamma_n(model, w, n)
+    alpha = _alpha(beta, gamma, n)
     lam2 = lam * lam
-    term1 = gamma ** n / lam2 * eta_bound(model, n, alpha / lam2, w)
-    term2 = gamma ** (n + 1) / lam2 * eta_bound(model, n + 1, gamma * alpha / lam2, w)
+    term1 = gamma ** n / lam2 * _eta(model, n, alpha / lam2, w, beta)
+    term2 = gamma ** (n + 1) / lam2 * _eta(model, n + 1, gamma * alpha / lam2, w, beta)
     term3 = _beta_tail(beta, gamma, n + 2) / lam2
     return term1 + term2 + term3
 
@@ -251,11 +370,11 @@ def viterbi_distance_bound_chi(
     gamma, lam = _require_chosen(cert)
     if model.chi is None:
         raise CertificationError("chi-based bound needs model.chi")
-    if tail_horizon < n:
-        raise ValueError("tail_horizon must be at least n")
+    if n < 0 or tail_horizon < n:
+        raise ValueError("n must be nonnegative and tail_horizon at least n")
     model.require_horizon(tail_horizon)
     beta = _beta_array(model, tail_horizon)
-    alpha = alpha_gamma_n(model, GammaWeight(gamma), n)
+    alpha = _alpha(beta, gamma, n)
     lam2 = lam * lam
     lead = gamma ** (n - 1) * alpha * 2.0 * model.chi / lam2
     return (lead + _beta_tail(beta, gamma, n)) / lam2
@@ -284,7 +403,7 @@ def segment_overlap_error_bound(
         raise ValueError("tail_horizon must be at least delta")
     model.require_horizon(Delta + tail_horizon)
     beta = _beta_array(model, Delta + tail_horizon)
-    alpha = alpha_gamma_n(model, GammaWeight(gamma), Delta + delta)
+    alpha = _alpha(beta, gamma, Delta + delta)
     lam2 = lam * lam
     lead = gamma ** (delta - 1) * 2.0 * model.chi * alpha / lam2
     return (lead + _beta_tail(beta, gamma, delta, offset=Delta)) / lam2

@@ -126,7 +126,7 @@ def solver_options(fn):
 
 
 workers_option = click.option(
-    "--workers", type=int, default=1, show_default=True, envvar="VITERBI_PAR_WORKERS",
+    "--workers", type=click.IntRange(min=1), default=1, show_default=True, envvar="VITERBI_PAR_WORKERS",
     show_envvar=True, help="worker processes",
 )
 

@@ -157,6 +157,27 @@ def read_spike_bundle(manifest_path):
 # Model configuration JSON
 # ---------------------------------------------------------------------------
 
+_JSON_KINDS = {dict: "an object", str: "a string"}
+
+
+def _typed(cfg, key, ctx, kind):
+    """cfg[key] when it is a ``kind``: dict for a section, str for a path."""
+    value = cfg.get(key)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{ctx}: {key!r} must be {_JSON_KINDS[kind]}")
+    return value
+
+
+def _num(cfg, key, ctx, default=None):
+    """A scalar field as float; ``default`` when absent (required if None)."""
+    if key not in cfg and default is None:
+        raise ConfigError(f"{ctx}: missing field {key!r}")
+    try:
+        return float(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{ctx}: field {key!r} is not a number") from exc
+
+
 def _arr(cfg, key, ctx):
     try:
         return np.asarray(cfg[key], dtype=float)
@@ -178,27 +199,22 @@ def _build_signal(cfg, base_dir):
             Sigma0 = _arr(cfg, "Sigma0", "signal")
         return LinearGaussianSignal(A, _arr(cfg, "b", "signal"), Sigma, _arr(cfg, "b0", "signal"), Sigma0)
     if kind == "huber":
-        drift_cfg = cfg.get("drift_map", {})
+        drift_cfg = _typed(cfg, "drift_map", "signal", dict)
         dkind = drift_cfg.get("kind")
         if dkind == "linear":
             drift = LinearDrift(_arr(drift_cfg, "M", "drift_map"))
         elif dkind == "tanh":
-            drift = TanhDrift(float(drift_cfg.get("scale", 0.5)))
+            drift = TanhDrift(_num(drift_cfg, "scale", "drift_map", 0.5))
         else:
             raise ConfigError(f"signal: unknown drift kind {dkind!r}")
-        bounds_cfg = cfg.get("lipschitz_bounds")
-        if not isinstance(bounds_cfg, dict):
-            raise ConfigError("signal: huber signals need a lipschitz_bounds object")
-        try:
-            bounds = tuple(
-                float(bounds_cfg[k]) for k in ("L_psi", "L_grad_psi", "L_A", "L_grad_A")
-            )
-        except KeyError as exc:
-            raise ConfigError(f"signal: lipschitz_bounds missing {exc}") from exc
+        bounds_cfg = _typed(cfg, "lipschitz_bounds", "signal", dict)
+        bounds = tuple(
+            _num(bounds_cfg, k, "lipschitz_bounds") for k in ("L_psi", "L_grad_psi", "L_A", "L_grad_A")
+        )
         return HuberNonlinearSignal(
             drift_map=drift,
             b=_arr(cfg, "b", "signal"),
-            huber_c=float(cfg.get("huber_c", 1.0)),
+            huber_c=_num(cfg, "huber_c", "signal", 1.0),
             lipschitz_bounds=bounds,
         )
     raise ConfigError(f"signal: unknown type {kind!r}")
@@ -209,20 +225,18 @@ def _build_likelihood(cfg, base_dir):
     if kind == "gaussian_emission":
         return GaussianEmission(_arr(cfg, "C", "likelihood"), _arr(cfg, "R", "likelihood"))
     if kind == "student_t":
-        return StudentTEmission(dof=float(cfg.get("dof", 1.0)))
+        return StudentTEmission(dof=_num(cfg, "dof", "likelihood", 1.0))
     if kind == "stoch_vol":
         B = _arr(cfg, "B", "likelihood")
         if "factors" in cfg:
-            factors = np.asarray(cfg["factors"], dtype=float)
+            factors = _arr(cfg, "factors", "likelihood")
         elif "factors_csv" in cfg:
-            factors = read_factors_csv(base_dir / cfg["factors_csv"])
+            factors = read_factors_csv(base_dir / _typed(cfg, "factors_csv", "likelihood", str))
         else:
             raise ConfigError("likelihood: stoch_vol needs 'factors' or 'factors_csv'")
         return StochVolFactor(B, factors)
     if kind in ("neural_pseudo", "neural_exact"):
-        if "manifest" not in cfg:
-            raise ConfigError(f"likelihood: {kind} needs a 'manifest' path")
-        spikes, rates, _ = read_spike_bundle(base_dir / cfg["manifest"])
+        spikes, rates, _ = read_spike_bundle(base_dir / _typed(cfg, "manifest", "likelihood", str))
         cls = NeuralPseudo if kind == "neural_pseudo" else NeuralExact
         return cls(spikes.shape[2], spikes.shape[1], rates_c=rates, spikes=spikes)
     raise ConfigError(f"likelihood: unknown type {kind!r}")
@@ -241,12 +255,12 @@ def load_model_config(path) -> ModelSpec:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(cfg, dict) or "signal" not in cfg or "likelihood" not in cfg:
+    if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must contain 'signal' and 'likelihood' objects")
-    signal = _build_signal(cfg["signal"], path.parent)
-    likelihood = _build_likelihood(cfg["likelihood"], path.parent)
-    chi = cfg.get("chi")
-    return ModelSpec(signal, likelihood, chi=float(chi) if chi is not None else None)
+    signal = _build_signal(_typed(cfg, "signal", "config", dict), path.parent)
+    likelihood = _build_likelihood(_typed(cfg, "likelihood", "config", dict), path.parent)
+    chi = None if cfg.get("chi") is None else _num(cfg, "chi", "config")
+    return ModelSpec(signal, likelihood, chi=chi)
 
 
 def write_sweep_csv(path, rows, bounds=None):

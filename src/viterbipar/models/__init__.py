@@ -1,4 +1,4 @@
-"""State-space model families: signal priors, likelihoods and bookkeeping."""
+"""State-space model families: signal priors, likelihoods and the assembled model."""
 
 from .signals import (
     LinearGaussianSignal,
@@ -18,13 +18,7 @@ from .likelihoods import (
     neural_pseudo_field,
     coupling_matrix,
 )
-from .spec import (
-    ModelSpec,
-    beta_m,
-    alpha_gamma_n,
-    eta_bound,
-    simulate,
-)
+from .spec import ModelSpec, simulate
 
 __all__ = [
     "LinearGaussianSignal",
@@ -42,8 +36,5 @@ __all__ = [
     "neural_pseudo_field",
     "coupling_matrix",
     "ModelSpec",
-    "beta_m",
-    "alpha_gamma_n",
-    "eta_bound",
     "simulate",
 ]

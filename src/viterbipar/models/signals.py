@@ -272,9 +272,6 @@ class LinearDrift:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.M.T if x.ndim == 2 else self.M @ x
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.M
-
     def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
         return v @ self.M
@@ -289,9 +286,6 @@ class TanhDrift:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.scale * np.tanh(x)
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.diag(self.scale / np.cosh(x) ** 2)
-
     def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
         return v * (self.scale / np.cosh(xs) ** 2)
@@ -303,8 +297,8 @@ class HuberNonlinearSignal:
     to exp(-psi0(x)) with the same Huber penalty.
 
     ``drift_map`` is called on a point or an (m, d) stack of points, and
-    gives ``jacobian(x)`` at one point and the vector-Jacobian products
-    ``vjp(xs, v)`` of a stack (see ``LinearDrift`` and ``TanhDrift``).
+    gives the vector-Jacobian products ``vjp(xs, v)`` of a stack (see
+    ``LinearDrift`` and ``TanhDrift``); nothing else of it is used.
     ``lipschitz_bounds`` is (L_psi, L_grad_psi, L_A, L_grad_A): a bound on
     the noise-penalty gradient norm, its Lipschitz constant, the drift
     Jacobian operator norm and the Jacobian's Lipschitz constant. The
@@ -341,7 +335,9 @@ class HuberNonlinearSignal:
             )
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((points, self.dim_d)) * 3.0
-        jacs = [np.atleast_2d(self.drift_map.jacobian(x)) for x in xs]
+        # the rows e_i' J(x) of the identity's products are the rows of J(x)
+        eye = np.eye(self.dim_d)
+        jacs = [self.drift_map.vjp(np.repeat(x[None], self.dim_d, 0), eye) for x in xs]
         for J in jacs:
             if np.linalg.norm(J, 2) > L_A + tol:
                 raise ValueError("drift Jacobian exceeds the declared L_A at a sampled point")

@@ -20,6 +20,7 @@ from .models.spec import ModelSpec
 from .objective import FullObjective, WindowedObjective
 
 _EPS = float(np.finfo(float).eps)
+_ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search
 
 __all__ = [
     "SolverConfig",
@@ -46,7 +47,6 @@ class SolverConfig:
     max_iters: int = 10_000
     grad_tol: float | None = None
     gamma: GammaWeight = field(default_factory=GammaWeight)
-    armijo_c: float = 1e-4
 
     def __post_init__(self):
         if self.step_mode not in ("fixed", "backtracking"):
@@ -137,7 +137,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
         iterations = it + 1
         if backtracking:
             g_sq = float(np.einsum("md,md->", g, g))
-            if accepted_any and config.armijo_c * h * g_sq <= 8.0 * _EPS * max(1.0, abs(fx)):
+            if accepted_any and _ARMIJO_C * h * g_sq <= 8.0 * _EPS * max(1.0, abs(fx)):
                 # the sufficient-decrease test is below floating resolution
                 # and would only measure rounding noise; coast on fixed
                 # steps at half the last accepted step, which is strictly
@@ -155,7 +155,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
                 x_new = x - h * g
                 f_new = objective.value(x_new)
                 value_evals += 1
-                if math.isfinite(f_new) and f_new <= fx - config.armijo_c * h * g_sq:
+                if math.isfinite(f_new) and f_new <= fx - _ARMIJO_C * h * g_sq:
                     break
                 h *= 0.5
                 halvings += 1

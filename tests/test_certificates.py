@@ -10,9 +10,12 @@ import scipy.linalg
 
 from viterbipar import (
     GammaWeight,
+    alpha_gamma_n,
+    beta_m,
     certify_huber,
     certify_linear_gaussian,
     empirical_decay_convexity,
+    eta_bound,
     feasible_gamma_interval,
     lambda_max,
     segment_overlap_error_bound,
@@ -23,7 +26,7 @@ from viterbipar.certificates import DecayConvexityCertificate, GammaInterval
 from viterbipar.core import gamma_weights
 from viterbipar.errors import CertificationError
 
-from conftest import gaussian_model_with_obs, huber_signal, lg_signal
+from conftest import gaussian_model, gaussian_model_with_obs, huber_signal, lg_signal
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0  # 0.3819660112501051
 
@@ -187,6 +190,71 @@ def _unit_beta_model(length=60):
     model = gaussian_model_with_obs(np.ones(length), a=0.0)
     model.chi = 1.0
     return model
+
+
+class TestOneBetaPass:
+    """Each bound evaluator builds beta once over its longest range: one
+    likelihood gradient call on the zero path. Its value is the one the
+    public beta / alpha / eta definitions give."""
+
+    @staticmethod
+    def _counted(model):
+        calls = []
+        grad = model.likelihood.grad
+
+        def counting(xs, ys):
+            calls.append(xs.shape[0])
+            return grad(xs, ys)
+
+        model.likelihood.grad = counting
+        return calls
+
+    def test_eta_route(self):
+        model = gaussian_model(d=2, n=40, seed=3)
+        cert = certify_linear_gaussian(model.signal)
+        gamma, lam2 = cert.chosen_gamma, cert.chosen_lambda ** 2
+        w, n = GammaWeight(gamma), 12
+        alpha = alpha_gamma_n(model, w, n)
+        want = (gamma ** n / lam2 * eta_bound(model, n, alpha / lam2, w)
+                + gamma ** (n + 1) / lam2 * eta_bound(model, n + 1, gamma * alpha / lam2, w)
+                + sum(gamma ** k * beta_m(model, k) for k in range(n + 2, 41)) / lam2)
+        calls = self._counted(model)
+        got = viterbi_distance_bound_eta(model, cert, n, 40)
+        assert calls == [41]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_chi_route(self):
+        model = gaussian_model(d=2, n=40, seed=3)
+        cert = certify_linear_gaussian(model.signal)
+        gamma, lam2 = cert.chosen_gamma, cert.chosen_lambda ** 2
+        n = 12
+        alpha = alpha_gamma_n(model, GammaWeight(gamma), n)
+        lead = gamma ** (n - 1) * alpha * 2.0 * model.chi / lam2
+        want = (lead + sum(gamma ** k * beta_m(model, k) for k in range(n, 41))) / lam2
+        calls = self._counted(model)
+        got = viterbi_distance_bound_chi(model, cert, n, 40)
+        assert calls == [41]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_segment_bound(self):
+        model = gaussian_model(d=2, n=40, seed=3)
+        cert = certify_linear_gaussian(model.signal)
+        gamma, lam2 = cert.chosen_gamma, cert.chosen_lambda ** 2
+        Delta, delta, tail = 10, 4, 30
+        alpha = alpha_gamma_n(model, GammaWeight(gamma), Delta + delta)
+        lead = gamma ** (delta - 1) * 2.0 * model.chi * alpha / lam2
+        want = (lead + sum(gamma ** k * beta_m(model, Delta + k) for k in range(delta, tail + 1))) / lam2
+        calls = self._counted(model)
+        got = segment_overlap_error_bound(model, cert, Delta, delta, tail)
+        assert calls == [41]
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_negative_index_rejected(self):
+        model = gaussian_model(d=2, n=40, seed=3)
+        cert = certify_linear_gaussian(model.signal)
+        for evaluator in (viterbi_distance_bound_eta, viterbi_distance_bound_chi):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evaluator(model, cert, -1, 40)
 
 
 class TestBounds:

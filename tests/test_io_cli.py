@@ -322,6 +322,63 @@ class TestCli:
         assert r.exit_code == 2, r.output
         assert "--workers" in r.stderr and "junk" in r.stderr
 
+    @pytest.mark.parametrize("args, env", [(["--workers", "0"], None), (["--workers", "-3"], None),
+                                           ([], "0")])
+    def test_worker_count_below_one_exits_2(self, runner, tmp_path, args, env):
+        base = _two_segment_args(runner, tmp_path, "solve-par")
+        r = runner.invoke(main, base + args, env={"VITERBI_PAR_WORKERS": env})
+        assert r.exit_code == 2, r.output
+        assert "--workers" in r.stderr and "x>=1" in r.stderr
+        assert not (tmp_path / "par").exists()
+
+    def test_observation_columns_must_match_the_emission(self, runner, tmp_path):
+        # one column on a d = 2 emission would broadcast over both coordinates
+        cfg = write_lg_config(tmp_path / "m.json", d=2)
+        obs = tmp_path / "one_column.csv"
+        vio.write_observations_csv(obs, np.linspace(-1.0, 1.0, 8)[:, None])
+        r = runner.invoke(main, ["solve", "--model", str(cfg), "--obs", str(obs),
+                                 "--out", str(tmp_path / "x")])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert "GaussianEmission" in lines[0] and "(8, 1)" in lines[0]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where, field, value", [
+        (None, "signal", [1]),
+        ("signal", "drift_map", "tanh"),
+        ("likelihood", "dof", None),
+        (None, "chi", [1]),
+        ("likelihood", "manifest", 5),
+    ])
+    def test_malformed_model_json_exits_2(self, runner, tmp_path, where, field, value):
+        cfg = {
+            "signal": {
+                "type": "huber",
+                "drift_map": {"kind": "tanh", "scale": 0.1},
+                "b": [0.0, 0.0, 0.0],
+                "lipschitz_bounds": {"L_psi": 1.0, "L_grad_psi": 1.0, "L_A": 0.1, "L_grad_A": 0.1},
+            },
+            "likelihood": {"type": "neural_pseudo" if field == "manifest" else "student_t"},
+        }
+        (cfg if where is None else cfg[where])[field] = value
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "5",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == 2, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert repr(field) in lines[0]
+
+    def test_negative_horizon_exits_2(self, runner, tmp_path):
+        cfg = write_lg_config(tmp_path / "m.json")
+        r = runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "-1",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and "horizon" in lines[0]
+
     def test_verify_passes_on_conjugate_model(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json", a=0.5)
         sim = tmp_path / "sim"

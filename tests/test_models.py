@@ -12,6 +12,7 @@ from scipy.special import expit, logsumexp, ndtr, softmax
 from viterbipar import (
     GammaWeight,
     GaussianEmission,
+    HuberNonlinearSignal,
     LinearGaussianSignal,
     ModelSpec,
     NeuralExact,
@@ -403,16 +404,17 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(spikes, want)
 
     def test_drift_vjp_matches_jacobian_rows(self, rng):
+        # reference Jacobians built here: diag(scale / cosh^2 x) and M
         xs = 2.0 * rng.standard_normal((9, 4))
         v = rng.standard_normal((9, 4))
         tanh = TanhDrift(0.7)
         got = tanh.vjp(xs, v)
         for m in range(9):
-            np.testing.assert_array_equal(got[m], tanh.jacobian(xs[m]).T @ v[m])
-        linear = LinearDrift(rng.standard_normal((4, 4)))
-        got = linear.vjp(xs, v)
+            np.testing.assert_array_equal(got[m], np.diag(0.7 / np.cosh(xs[m]) ** 2).T @ v[m])
+        M = rng.standard_normal((4, 4))
+        got = LinearDrift(M).vjp(xs, v)
         for m in range(9):
-            np.testing.assert_allclose(got[m], linear.jacobian(xs[m]).T @ v[m], rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(got[m], M.T @ v[m], rtol=1e-14, atol=1e-15)
 
     def test_huber_transition_gradient_matches_per_block_loop(self, rng):
         sig = huber_signal(d=3, scale=0.4)
@@ -421,8 +423,18 @@ class TestBatchedKernels:
         want = np.zeros_like(xs)
         want[1:] -= gpsi
         for m in range(39):
-            want[m] += sig.drift_map.jacobian(xs[m]).T @ gpsi[m]
+            want[m] += np.diag(0.4 / np.cosh(xs[m]) ** 2).T @ gpsi[m]
         np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
+
+    def test_drift_spot_check_reads_jacobians_from_vjp(self, rng):
+        M = rng.standard_normal((3, 3))
+        cases = ((LinearDrift(M), float(np.linalg.norm(M, 2)), 0.0), (TanhDrift(0.4), 0.4, 0.77 * 0.4))
+        for drift, L_A, L_grad_A in cases:
+            HuberNonlinearSignal(drift, np.zeros(3), 1.0, (1.0, 1.0, L_A, L_grad_A))
+            with pytest.raises(ValueError, match="L_A"):
+                HuberNonlinearSignal(drift, np.zeros(3), 1.0, (1.0, 1.0, 0.5 * L_A, L_grad_A))
+        with pytest.raises(ValueError, match="L_grad_A"):  # tanh's Jacobian varies
+            HuberNonlinearSignal(TanhDrift(0.4), np.zeros(3), 1.0, (1.0, 1.0, 0.4, 0.0))
 
 
 class TestScipyReferences:
@@ -553,6 +565,34 @@ class TestModelSpecPrefix:
         for a, b in ((0, 9), (2, 9), (3, 2), (-1, 2)):
             with pytest.raises(ShapeError):
                 model.window(a, b)
+
+
+class TestObservationShape:
+    """ModelSpec checks each index's observation against the family."""
+
+    def test_gaussian_emission_needs_p_columns(self):
+        with pytest.raises(ShapeError, match="GaussianEmission"):
+            ModelSpec(lg_signal(d=2), GaussianEmission(np.eye(2), np.eye(2)), observations=np.ones((6, 1)))
+        # p = 2 observations of a d = 3 state
+        lik = GaussianEmission(np.ones((2, 3)), np.eye(2))
+        ModelSpec(lg_signal(d=3), lik, observations=np.ones((6, 2)))
+        with pytest.raises(ShapeError):
+            ModelSpec(lg_signal(d=3), lik, observations=np.ones((6, 3)))
+        with pytest.raises(ShapeError):
+            ModelSpec(lg_signal(d=1), GaussianEmission(np.eye(1), np.eye(1)), observations=np.ones(6))
+
+    def test_state_sized_families_need_d_columns(self):
+        with pytest.raises(ShapeError, match="StudentTEmission"):
+            ModelSpec(lg_signal(d=2), StudentTEmission(), observations=np.ones((6, 1)))
+        model = stochvol_model(d=2, n=5)
+        with pytest.raises(ShapeError, match="StochVolFactor"):
+            ModelSpec(model.signal, model.likelihood, observations=np.ones((6, 3)))
+
+    def test_spiking_families_need_trials_by_neurons(self):
+        model = neural_model(N=3, R=2, n=5)
+        assert model.observations.shape == (6, 2, 3)
+        with pytest.raises(ShapeError, match="NeuralPseudo"):
+            ModelSpec(model.signal, model.likelihood, observations=np.ones((6, 3, 2)))
 
 
 class TestStationaryCovariance:
@@ -740,6 +780,13 @@ class TestSimulate:
         assert np.array_equal(y1, y2)
         x3, _ = simulate(model, 50, seed=8)
         assert not np.array_equal(x1.blocks, x3.blocks)
+
+    def test_negative_horizon_rejected(self):
+        model = gaussian_model_with_obs(np.zeros(10))
+        with pytest.raises(ValueError, match="horizon"):
+            simulate(model, -1, seed=0)
+        xs, ys = simulate(model, 0, seed=0)
+        assert xs.blocks.shape == (1, 1) and ys.shape == (1, 1)
 
     def test_white_noise_autocorrelation(self):
         model = gaussian_model_with_obs(np.zeros(10), a=0.0)
