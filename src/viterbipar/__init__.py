@@ -11,9 +11,7 @@ from .core import (
     PathVector,
     GammaWeight,
     SegmentPlan,
-    gamma_inner,
     gamma_norm,
-    weighted_norm_at,
     build_segment_plan,
 )
 from .models import (
@@ -69,9 +67,7 @@ __all__ = [
     "PathVector",
     "GammaWeight",
     "SegmentPlan",
-    "gamma_inner",
     "gamma_norm",
-    "weighted_norm_at",
     "build_segment_plan",
     "LinearGaussianSignal",
     "HuberNonlinearSignal",

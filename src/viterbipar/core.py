@@ -1,4 +1,4 @@
-"""Path vectors, discounted inner products and segment plans.
+"""Path vectors, discounted norms and segment plans.
 
 A path is the finite block vector (x_0, ..., x_n), each block in R^d.
 All norms treat blocks beyond the stored horizon as zero, so a stored
@@ -19,9 +19,7 @@ __all__ = [
     "GammaWeight",
     "SegmentPlan",
     "gamma_weights",
-    "gamma_inner",
     "gamma_norm",
-    "weighted_norm_at",
     "build_segment_plan",
 ]
 
@@ -72,13 +70,6 @@ class GammaWeight:
         object.__setattr__(self, "gamma", g)
 
 
-def _check_same_shape(x: PathVector, y: PathVector):
-    if x.blocks.shape != y.blocks.shape:
-        raise ShapeError(
-            f"paths have different shapes: {x.blocks.shape} vs {y.blocks.shape}"
-        )
-
-
 def gamma_weights(n_blocks: int, gamma: float) -> np.ndarray:
     """Weights (1, gamma, gamma^2, ...) of length ``n_blocks``.
 
@@ -98,27 +89,9 @@ def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
     return math.sqrt(float(np.einsum("md,md->m", blocks, blocks) @ weights))
 
 
-def gamma_inner(x: PathVector, y: PathVector, w: GammaWeight) -> float:
-    """Discounted inner product sum_m gamma^m <x_m, y_m>."""
-    _check_same_shape(x, y)
-    per_block = np.einsum("md,md->m", x.blocks, y.blocks)
-    return float(per_block @ gamma_weights(per_block.shape[0], w.gamma))
-
-
 def gamma_norm(x: PathVector, w: GammaWeight) -> float:
-    """Discounted norm, the square root of ``gamma_inner(x, x, w)``."""
+    """Discounted norm sqrt(sum_m gamma^m |x_m|^2)."""
     return _weighted_norm(x.blocks, gamma_weights(x.blocks.shape[0], w.gamma))
-
-
-def weighted_norm_at(x: PathVector, center_n: int, w: GammaWeight) -> float:
-    """Norm with weights gamma^|m - center_n|, truncated at the path horizon.
-
-    For ``center_n = 0`` this coincides with :func:`gamma_norm`.
-    """
-    if center_n < 0:
-        raise ValueError(f"center index must be nonnegative, got {center_n}")
-    m = np.arange(x.blocks.shape[0])
-    return _weighted_norm(x.blocks, float(w.gamma) ** np.abs(m - center_n))
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,8 @@ def read_spike_bundle(manifest_path):
         bin_width = float(manifest.get("bin_width", 0.01))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{manifest_path}: bad spike manifest: {exc}") from exc
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise ConfigError(f"{manifest_path}: bad spike manifest: 'files' must be a list of file names")
     if len(files) != R:
         raise ConfigError(f"{manifest_path}: manifest lists {len(files)} files for R={R}")
     trials = []

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CertificationError, ShapeError
-from .signals import _LOG_2PI, _as_spd, _is_diagonal
+from .signals import _LOG_2PI, _as_spd, _diag_factor, _is_diagonal
 
 __all__ = [
     "GaussianEmission",
@@ -37,7 +37,13 @@ __all__ = [
 ]
 
 class GaussianEmission:
-    """y_m = C x_m + N(0, R) noise. The conjugate, oracle-checkable family."""
+    """y_m = C x_m + N(0, R) noise. The conjugate, oracle-checkable family.
+
+    When C is square and C and R are diagonal the kernels multiply by
+    their diagonals, and a diagonal whose entries are all equal (C = c I,
+    R = r^2 I) is held as one float: numpy loops over a (d,) operand d
+    elements at a time, while a scalar costs one pass over the path.
+    """
 
     def __init__(self, C, R):
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -51,9 +57,9 @@ class GaussianEmission:
         self.CtRinvC = self.C.T @ self.RinvC
         self._diag = self.C.shape[0] == self.C.shape[1] and _is_diagonal(self.C) and _is_diagonal(self.R)
         if self._diag:
-            self._c_d = np.diag(self.C).copy()
-            self._ri_d = np.diag(self.R_inv).copy()
-            self._ric_d = self._ri_d * self._c_d  # diagonal of R^-1 C
+            self._c_d = _diag_factor(np.diag(self.C))
+            self._ri_d = _diag_factor(np.diag(self.R_inv))
+            self._ric_d = _diag_factor(np.diag(self.R_inv) * np.diag(self.C))  # diagonal of R^-1 C
 
     @property
     def obs_dim(self) -> int:

@@ -53,6 +53,14 @@ def _is_diagonal(M: np.ndarray) -> bool:
     return np.count_nonzero(M - np.diag(np.diag(M))) == 0
 
 
+def _diag_factor(v: np.ndarray) -> float | np.ndarray:
+    """A kernel factor from a diagonal: one float when its entries are
+    bitwise equal (zeros of opposite sign differ), else a copy of the (d,)
+    vector. Either one multiplies an (m, d) array to the same products."""
+    v = np.array(v, dtype=float)
+    return float(v[0]) if v.tobytes() == np.full_like(v, v[0]).tobytes() else v
+
+
 def stationary_covariance(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     """Stationary covariance of x' = A x + w, w ~ N(0, Sigma).
 
@@ -88,6 +96,11 @@ class LinearGaussianSignal:
     Sigma : (d, d) SPD array, transition noise covariance
     b0 : (d,) array
     Sigma0 : (d, d) SPD array, initial covariance
+
+    When A and Sigma are diagonal the transition kernels multiply by their
+    diagonals, and a diagonal whose entries are all equal (A = a I,
+    Sigma = s I) is held as one float: numpy loops over a (d,) operand d
+    elements at a time, while a scalar costs one pass over the path.
     """
 
     def __init__(self, A, b, Sigma, b0, Sigma0):
@@ -107,8 +120,8 @@ class LinearGaussianSignal:
         # diagonal fast path of the transition terms
         self._diag = _is_diagonal(self.A) and _is_diagonal(self.Sigma)
         if self._diag:
-            self._a_d = np.diag(self.A).copy()
-            self._si_d = np.diag(self.Sigma_inv).copy()
+            self._a_d = _diag_factor(np.diag(self.A))
+            self._si_d = _diag_factor(np.diag(self.Sigma_inv))
 
     @property
     def dim(self) -> int:
@@ -316,6 +329,7 @@ class HuberNonlinearSignal:
         if self.dim_d == 0:
             self.dim_d = self.b.shape[0]
         self.b = np.broadcast_to(self.b, (self.dim_d,)).copy()
+        self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         c = float(self.huber_c)
         if c <= 0:
             raise ValueError(f"huber threshold must be positive, got {c}")
@@ -359,7 +373,10 @@ class HuberNonlinearSignal:
         return -float(np.sum(huber(x0, self.huber_c))) - self._log_z
 
     def residuals(self, xs: np.ndarray) -> np.ndarray:
-        return xs[1:] - self._drift(xs[:-1]) - self.b
+        W = xs[1:] - self._drift(xs[:-1])
+        if self._b_nonzero:
+            W -= self.b
+        return W
 
     def log_f_sum(self, xs: np.ndarray) -> float:
         n = xs.shape[0] - 1

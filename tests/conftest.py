@@ -1,4 +1,6 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and reference norms for the test suite."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +18,26 @@ from viterbipar import (
     simulate,
     stationary_covariance,
 )
+from viterbipar.core import gamma_weights
+from viterbipar.errors import ShapeError
+
+
+def gamma_inner(x, y, w):
+    """Discounted inner product sum_m gamma^m <x_m, y_m> of two paths."""
+    if x.blocks.shape != y.blocks.shape:
+        raise ShapeError(f"paths have different shapes: {x.blocks.shape} vs {y.blocks.shape}")
+    per_block = np.einsum("md,md->m", x.blocks, y.blocks)
+    return float(per_block @ gamma_weights(per_block.shape[0], w.gamma))
+
+
+def weighted_norm_at(x, center_n, w):
+    """Norm of a path with weights gamma^|m - center_n|, truncated at its
+    horizon; ``center_n = 0`` gives ``gamma_norm``."""
+    if center_n < 0:
+        raise ValueError(f"center index must be nonnegative, got {center_n}")
+    m = np.arange(x.blocks.shape[0])
+    weights = float(w.gamma) ** np.abs(m - center_n)
+    return math.sqrt(float(np.einsum("md,md->m", x.blocks, x.blocks) @ weights))
 
 
 def lg_signal(d=1, a=0.5, sigma_sq=1.0, b=0.0, b0=0.0, sigma0_sq=1.0, stationary=False):

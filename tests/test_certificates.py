@@ -26,7 +26,7 @@ from viterbipar.certificates import DecayConvexityCertificate, GammaInterval
 from viterbipar.core import gamma_weights
 from viterbipar.errors import CertificationError
 
-from conftest import gaussian_model, gaussian_model_with_obs, huber_signal, lg_signal
+from conftest import gamma_inner, gaussian_model, gaussian_model_with_obs, huber_signal, lg_signal
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0  # 0.3819660112501051
 
@@ -374,7 +374,7 @@ class TestEmpiricalDecayConvexity:
 
     def test_identical_paths_have_zero_slack(self, rng):
         from viterbipar.objective import grad_U
-        from viterbipar import PathVector, gamma_inner
+        from viterbipar import PathVector
 
         model = gaussian_model_with_obs(rng.standard_normal(10), a=0.5)
         x = PathVector(rng.standard_normal((10, 1)))

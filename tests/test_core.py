@@ -9,11 +9,11 @@ from viterbipar import (
     GammaWeight,
     PathVector,
     build_segment_plan,
-    gamma_inner,
     gamma_norm,
-    weighted_norm_at,
 )
 from viterbipar.errors import PlanError, ShapeError
+
+from conftest import gamma_inner, weighted_norm_at
 
 
 def pv(*rows):

@@ -371,6 +371,31 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("configuration error:")
         assert repr(field) in lines[0]
 
+    @pytest.mark.parametrize("files", [5, [1, 2]])
+    def test_malformed_spike_manifest_exits_2(self, runner, tmp_path, files):
+        manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(3, 2, 6, seed=1))
+        content = json.loads(manifest.read_text())
+        content["files"] = files
+        manifest.write_text(json.dumps(content))
+        cfg = {
+            "signal": {
+                "type": "linear_gaussian",
+                "A": (0.5 * np.eye(3)).tolist(),
+                "b": [0.0] * 3,
+                "Sigma": np.eye(3).tolist(),
+                "b0": [0.0] * 3,
+                "Sigma0": np.eye(3).tolist(),
+            },
+            "likelihood": {"type": "neural_pseudo", "manifest": str(manifest)},
+        }
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["certify", "--model", str(tmp_path / "m.json")])
+        assert r.exit_code == 2, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert "manifest.json" in lines[0] and "'files'" in lines[0]
+
     def test_negative_horizon_exits_2(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")
         r = runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "-1",

@@ -18,6 +18,7 @@ from viterbipar import (
     NeuralExact,
     NeuralPseudo,
     PathVector,
+    SolverConfig,
     StudentTEmission,
     WindowedObjective,
     alpha_gamma_n,
@@ -29,6 +30,7 @@ from viterbipar import (
     grad_phi_tilde,
     neural_pseudo_field,
     simulate,
+    solve_map,
     stationary_covariance,
 )
 from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber_grad
@@ -44,6 +46,7 @@ from conftest import (
     random_spikes,
     stochvol_model,
     student_model,
+    weighted_norm_at,
 )
 
 
@@ -233,8 +236,6 @@ class TestEtaBound:
         assert eta_bound(model, 1, 0.0, GammaWeight(0.5)) == pytest.approx(0.0, abs=1e-14)
 
     def test_stochvol_dominates_sampled_gradients(self, rng):
-        from viterbipar import weighted_norm_at
-
         model = stochvol_model(n=8)
         w = GammaWeight(0.6)
         for n_idx in (2, 5):
@@ -262,7 +263,7 @@ class TestEtaBound:
         # the auto-computed quadratic-growth constant must make
         # beta_n + chi r / gamma dominate sampled local gradients at every
         # radius the accuracy bounds evaluate (r >= beta_n / lambda^2)
-        from viterbipar import alpha_gamma_n, certify_linear_gaussian, weighted_norm_at
+        from viterbipar import alpha_gamma_n, certify_linear_gaussian
 
         model = gaussian_model_with_obs(rng.standard_normal(12), a=0.5)
         cert = certify_linear_gaussian(model.signal, lambda_g=0.0)
@@ -666,80 +667,160 @@ def _assert_matches(got, want, exact):
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * scale)
 
 
+def _diagonal(rng, kind, d, low, high):
+    """A (d,) diagonal: one draw repeated for an isotropic kind, else d draws."""
+    if kind == "isotropic":
+        return np.full(d, rng.uniform(low, high))
+    return rng.uniform(low, high, d)
+
+
+def _check_factor(factor, diagonal):
+    """A kernel factor is one float exactly when its diagonal's entries are
+    all equal, and otherwise the diagonal as a vector."""
+    if np.all(diagonal == diagonal[0]):
+        assert type(factor) is float and factor == diagonal[0]
+    else:
+        assert type(factor) is np.ndarray and np.array_equal(factor, diagonal)
+
+
 class TestGaussianKernels:
     """The in-place linear-Gaussian and Gaussian-emission kernels against
     the formulas: the diagonal paths bit for bit, the dense ones within
-    1e-14."""
+    1e-14. Isotropic models run the diagonal path with scalar factors and
+    must equal the vector formulas bit for bit too."""
 
-    d, n = 5, 40
+    n = 40
+    KINDS = [("diagonal", 5), ("isotropic", 5), ("isotropic", 1), ("dense", 5)]
 
-    def signal(self, rng, diag, b_zero):
-        d = self.d
-        if diag:
-            A, Sigma = np.diag(rng.uniform(-0.9, 0.9, d)), np.diag(rng.uniform(0.5, 2.0, d))
-        else:
+    def signal(self, rng, kind, d, b_zero):
+        if kind == "dense":
             A, Sigma = 0.3 * rng.standard_normal((d, d)), _spd(rng, d)
+        else:
+            A = np.diag(_diagonal(rng, kind, d, -0.9, 0.9))
+            Sigma = np.diag(_diagonal(rng, kind, d, 0.5, 2.0))
         b = np.zeros(d) if b_zero else rng.standard_normal(d)
         sig = LinearGaussianSignal(A, b, Sigma, rng.standard_normal(d), _spd(rng, d))
-        assert sig._diag == diag
+        assert sig._diag == (kind != "dense")
+        if kind == "isotropic":
+            assert type(sig._a_d) is float and type(sig._si_d) is float
         return sig, A, b, Sigma
 
-    @pytest.mark.parametrize("diag", [True, False])
+    def emission(self, rng, kind, d):
+        """(C, R); kind "identity" is C = I with an isotropic R."""
+        if kind in ("dense", "non-square"):
+            p = 3 if kind == "non-square" else d
+            return rng.standard_normal((p, d)), _spd(rng, p)
+        if kind == "identity":
+            return np.eye(d), np.diag(_diagonal(rng, "isotropic", d, 0.2, 3.0))
+        return np.diag(_diagonal(rng, kind, d, 0.5, 2.0)), np.diag(_diagonal(rng, kind, d, 0.2, 3.0))
+
+    @pytest.mark.parametrize("kind, d", KINDS)
     @pytest.mark.parametrize("b_zero", [True, False])
-    def test_transitions(self, rng, diag, b_zero):
-        sig, A, b, Sigma = self.signal(rng, diag, b_zero)
-        xs = rng.standard_normal((self.n + 1, self.d))
+    def test_transitions(self, rng, kind, d, b_zero):
+        sig, A, b, Sigma = self.signal(rng, kind, d, b_zero)
+        exact = kind != "dense"
+        xs = rng.standard_normal((self.n + 1, d))
         before = xs.copy()
-        value, grad = _ref_transitions(A, b, Sigma, xs, diag)
-        _assert_matches(sig.grad_log_transitions(xs), grad, diag)
-        _assert_matches(np.array(sig.log_f_sum(xs)), np.array(value), diag)
+        value, grad = _ref_transitions(A, b, Sigma, xs, exact)
+        _assert_matches(sig.grad_log_transitions(xs), grad, exact)
+        _assert_matches(np.array(sig.log_f_sum(xs)), np.array(value), exact)
         assert np.array_equal(xs, before)
         # one block: no transitions
-        assert np.array_equal(sig.grad_log_transitions(xs[:1]), np.zeros((1, self.d)))
+        assert np.array_equal(sig.grad_log_transitions(xs[:1]), np.zeros((1, d)))
         assert sig.log_f_sum(xs[:1]) == 0.0
 
-    @pytest.mark.parametrize("shape", ["diagonal", "dense", "non-square"])
-    def test_emission(self, rng, shape):
-        d = self.d
-        p = 3 if shape == "non-square" else d
-        if shape == "diagonal":
-            C, R = np.diag(rng.uniform(0.5, 2.0, d)), np.diag(rng.uniform(0.2, 3.0, d))
-        else:
-            C, R = rng.standard_normal((p, d)), _spd(rng, p)
+    @pytest.mark.parametrize("kind, d", [
+        ("diagonal", 5), ("identity", 5), ("isotropic", 5), ("isotropic", 1),
+        ("dense", 5), ("non-square", 5),
+    ])
+    def test_emission(self, rng, kind, d):
+        C, R = self.emission(rng, kind, d)
+        p = C.shape[0]
+        exact = kind not in ("dense", "non-square")
         lik = GaussianEmission(C, R)
-        assert lik._diag == (shape == "diagonal")
+        assert lik._diag == exact
+        if kind in ("identity", "isotropic"):
+            assert all(type(f) is float for f in (lik._c_d, lik._ri_d, lik._ric_d))
         xs, ys = rng.standard_normal((self.n + 1, d)), rng.standard_normal((self.n + 1, p))
         before = (xs.copy(), ys.copy())
-        terms, grad = _ref_emission(C, R, xs, ys, shape == "diagonal")
-        _assert_matches(lik.grad(xs, ys), grad, shape == "diagonal")
-        _assert_matches(lik.log_terms(xs, ys), terms, shape == "diagonal")
+        terms, grad = _ref_emission(C, R, xs, ys, exact)
+        _assert_matches(lik.grad(xs, ys), grad, exact)
+        _assert_matches(lik.log_terms(xs, ys), terms, exact)
         assert np.array_equal(xs, before[0]) and np.array_equal(ys, before[1])
 
-    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("kind, d", KINDS)
     @pytest.mark.parametrize("b_zero", [True, False])
-    def test_windowed_objective(self, rng, diag, b_zero):
+    def test_windowed_objective(self, rng, kind, d, b_zero):
         """minus (transitions + start term + emission) on the full-prior
         window 0..n and on a flat-start window a..b."""
-        sig, A, b, Sigma = self.signal(rng, diag, b_zero)
-        d, n = self.d, self.n
-        if diag:
-            C, R = np.diag(rng.uniform(0.5, 2.0, d)), np.diag(rng.uniform(0.2, 3.0, d))
-        else:
-            C, R = rng.standard_normal((3, d)), _spd(rng, 3)
+        sig, A, b, Sigma = self.signal(rng, kind, d, b_zero)
+        n, exact = self.n, kind != "dense"
+        C, R = self.emission(rng, "non-square" if kind == "dense" else kind, d)
         ys = rng.standard_normal((n + 1, C.shape[0]))
         model = ModelSpec(sig, GaussianEmission(C, R), observations=ys)
         xs = rng.standard_normal((n + 1, d))
 
-        G = _ref_transitions(A, b, Sigma, xs, diag)[1]
+        G = _ref_transitions(A, b, Sigma, xs, exact)[1]
         G[0] += -np.linalg.inv(sig.Sigma0) @ (xs[0] - sig.b0)
-        G += _ref_emission(C, R, xs, ys, diag)[1]
-        _assert_matches(WindowedObjective(model, (0, n), "full-prior").grad(xs), -G, diag)
+        G += _ref_emission(C, R, xs, ys, exact)[1]
+        _assert_matches(WindowedObjective(model, (0, n), "full-prior").grad(xs), -G, exact)
 
         lo, hi = 7, 30
-        G = _ref_transitions(A, b, Sigma, xs[lo : hi + 1], diag)[1]
-        G += _ref_emission(C, R, xs[lo : hi + 1], ys[lo : hi + 1], diag)[1]
+        G = _ref_transitions(A, b, Sigma, xs[lo : hi + 1], exact)[1]
+        G += _ref_emission(C, R, xs[lo : hi + 1], ys[lo : hi + 1], exact)[1]
         got = WindowedObjective(model, (lo, hi), "flat-start").grad(xs[lo : hi + 1])
-        _assert_matches(got, -G, diag)
+        _assert_matches(got, -G, exact)
+
+    @pytest.mark.parametrize("d, changed", [
+        (1, None), (5, None), (5, "A"), (5, "Sigma"), (5, "C"), (5, "R"),
+    ])
+    def test_factor_types(self, d, changed):
+        """A scaled identity gives float factors; one changed diagonal entry
+        keeps that matrix's factor, and R^-1 C's, a vector."""
+        mats = {"A": 0.95 * np.eye(d), "Sigma": 0.3 * np.eye(d), "C": 1.5 * np.eye(d), "R": 0.4 * np.eye(d)}
+        if changed is not None:
+            mats[changed][-1, -1] *= 1.25
+        sig = LinearGaussianSignal(mats["A"], 0.0, mats["Sigma"], 0.0, np.eye(d))
+        lik = GaussianEmission(mats["C"], mats["R"])
+        factors = {"A": sig._a_d, "Sigma": sig._si_d, "C": lik._c_d, "R": lik._ri_d}
+        _check_factor(factors["A"], np.diag(sig.A))
+        _check_factor(factors["Sigma"], np.diag(sig.Sigma_inv))
+        _check_factor(factors["C"], np.diag(lik.C))
+        _check_factor(factors["R"], np.diag(lik.R_inv))
+        _check_factor(lik._ric_d, np.diag(lik.R_inv) * np.diag(lik.C))
+        for name, factor in factors.items():
+            assert type(factor) is (float if name != changed else np.ndarray), name
+        assert type(lik._ric_d) is (np.ndarray if changed in ("C", "R") else float)
+        # zeros of opposite sign are not the same factor
+        assert type(LinearGaussianSignal(np.diag([0.0, -0.0]), 0.0, np.eye(2), 0.0, np.eye(2))._a_d) is np.ndarray
+
+    def test_isotropic_solve_matches_vector_factors(self, rng):
+        """A fixed-step solve with the float factors equals, bit for bit,
+        the same solve with each factor reset to the (d,) vector of its
+        matrix diagonal."""
+        d, n = 4, 60
+        ys = rng.standard_normal((n + 1, d))
+
+        def model():
+            sig = LinearGaussianSignal(0.9 * np.eye(d), 0.0, 0.5 * np.eye(d), 0.0, np.eye(d))
+            return ModelSpec(sig, GaussianEmission(np.eye(d), 0.3 * np.eye(d)), observations=ys)
+
+        scalar, vector = model(), model()
+        sig, lik = vector.signal, vector.likelihood
+        diagonals = {
+            sig: {"_a_d": sig.A[0, 0], "_si_d": sig.Sigma_inv[0, 0]},
+            lik: {"_c_d": lik.C[0, 0], "_ri_d": lik.R_inv[0, 0], "_ric_d": lik.R_inv[0, 0] * lik.C[0, 0]},
+        }
+        for family, values in diagonals.items():
+            for name, value in values.items():
+                assert type(getattr(family, name)) is float
+                setattr(family, name, np.full(d, value))
+        config = SolverConfig(step_mode="fixed", step_size=0.05, max_iters=5000, grad_tol=1e-9)
+        a, b = solve_map(scalar, config), solve_map(vector, config)
+        assert a.converged
+        assert np.array_equal(a.solution.blocks, b.solution.blocks)
+        fields = ("iterations", "grad_evals", "value_evals", "final_grad_norm", "objective_value")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
 
 class TestMarginalParams:
