@@ -689,8 +689,7 @@ class TestGaussianKernels:
     1e-14. Isotropic models run the diagonal path with scalar factors and
     must equal the vector formulas bit for bit too."""
 
-    n = 40
-    KINDS = [("diagonal", 5), ("isotropic", 5), ("isotropic", 1), ("dense", 5)]
+    d, n = 5, 40
 
     def signal(self, rng, kind, d, b_zero):
         if kind == "dense":
@@ -714,9 +713,7 @@ class TestGaussianKernels:
             return np.eye(d), np.diag(_diagonal(rng, "isotropic", d, 0.2, 3.0))
         return np.diag(_diagonal(rng, kind, d, 0.5, 2.0)), np.diag(_diagonal(rng, kind, d, 0.2, 3.0))
 
-    @pytest.mark.parametrize("kind, d", KINDS)
-    @pytest.mark.parametrize("b_zero", [True, False])
-    def test_transitions(self, rng, kind, d, b_zero):
+    def check_transitions(self, rng, kind, d, b_zero):
         sig, A, b, Sigma = self.signal(rng, kind, d, b_zero)
         exact = kind != "dense"
         xs = rng.standard_normal((self.n + 1, d))
@@ -729,11 +726,17 @@ class TestGaussianKernels:
         assert np.array_equal(sig.grad_log_transitions(xs[:1]), np.zeros((1, d)))
         assert sig.log_f_sum(xs[:1]) == 0.0
 
-    @pytest.mark.parametrize("kind, d", [
-        ("diagonal", 5), ("identity", 5), ("isotropic", 5), ("isotropic", 1),
-        ("dense", 5), ("non-square", 5),
-    ])
-    def test_emission(self, rng, kind, d):
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("b_zero", [True, False])
+    def test_transitions(self, rng, diag, b_zero):
+        self.check_transitions(rng, "diagonal" if diag else "dense", self.d, b_zero)
+
+    @pytest.mark.parametrize("d", [5, 1])
+    @pytest.mark.parametrize("b_zero", [True, False])
+    def test_isotropic_transitions(self, rng, d, b_zero):
+        self.check_transitions(rng, "isotropic", d, b_zero)
+
+    def check_emission(self, rng, kind, d):
         C, R = self.emission(rng, kind, d)
         p = C.shape[0]
         exact = kind not in ("dense", "non-square")
@@ -748,9 +751,15 @@ class TestGaussianKernels:
         _assert_matches(lik.log_terms(xs, ys), terms, exact)
         assert np.array_equal(xs, before[0]) and np.array_equal(ys, before[1])
 
-    @pytest.mark.parametrize("kind, d", KINDS)
-    @pytest.mark.parametrize("b_zero", [True, False])
-    def test_windowed_objective(self, rng, kind, d, b_zero):
+    @pytest.mark.parametrize("shape", ["diagonal", "dense", "non-square"])
+    def test_emission(self, rng, shape):
+        self.check_emission(rng, shape, self.d)
+
+    @pytest.mark.parametrize("kind, d", [("identity", 5), ("isotropic", 5), ("isotropic", 1)])
+    def test_isotropic_emission(self, rng, kind, d):
+        self.check_emission(rng, kind, d)
+
+    def check_windowed_objective(self, rng, kind, d, b_zero):
         """minus (transitions + start term + emission) on the full-prior
         window 0..n and on a flat-start window a..b."""
         sig, A, b, Sigma = self.signal(rng, kind, d, b_zero)
@@ -770,6 +779,16 @@ class TestGaussianKernels:
         G += _ref_emission(C, R, xs[lo : hi + 1], ys[lo : hi + 1], exact)[1]
         got = WindowedObjective(model, (lo, hi), "flat-start").grad(xs[lo : hi + 1])
         _assert_matches(got, -G, exact)
+
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("b_zero", [True, False])
+    def test_windowed_objective(self, rng, diag, b_zero):
+        self.check_windowed_objective(rng, "diagonal" if diag else "dense", self.d, b_zero)
+
+    @pytest.mark.parametrize("d", [5, 1])
+    @pytest.mark.parametrize("b_zero", [True, False])
+    def test_isotropic_windowed_objective(self, rng, d, b_zero):
+        self.check_windowed_objective(rng, "isotropic", d, b_zero)
 
     @pytest.mark.parametrize("d, changed", [
         (1, None), (5, None), (5, "A"), (5, "Sigma"), (5, "C"), (5, "R"),
