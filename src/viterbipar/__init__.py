@@ -25,7 +25,6 @@ from .models import (
     StochVolFactor,
     NeuralPseudo,
     NeuralExact,
-    neural_pseudo_field,
     ModelSpec,
     simulate,
 )
@@ -33,8 +32,6 @@ from .objective import (
     eval_U,
     grad_U,
     WindowedObjective,
-    grad_phi,
-    grad_phi_tilde,
     hessian_quadratic_form,
 )
 from .solver import SolverConfig, SolveReport, solve_map, solve_windowed, estimate_grad_lipschitz
@@ -79,10 +76,7 @@ __all__ = [
     "StochVolFactor",
     "NeuralPseudo",
     "NeuralExact",
-    "neural_pseudo_field",
     "ModelSpec",
-    "grad_phi",
-    "grad_phi_tilde",
     "beta_m",
     "alpha_gamma_n",
     "eta_bound",

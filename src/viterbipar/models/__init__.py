@@ -15,7 +15,6 @@ from .likelihoods import (
     StochVolFactor,
     NeuralPseudo,
     NeuralExact,
-    neural_pseudo_field,
     coupling_matrix,
 )
 from .spec import ModelSpec, simulate
@@ -33,7 +32,6 @@ __all__ = [
     "StochVolFactor",
     "NeuralPseudo",
     "NeuralExact",
-    "neural_pseudo_field",
     "coupling_matrix",
     "ModelSpec",
     "simulate",

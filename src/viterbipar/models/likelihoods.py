@@ -32,7 +32,6 @@ __all__ = [
     "StochVolFactor",
     "NeuralPseudo",
     "NeuralExact",
-    "neural_pseudo_field",
     "coupling_matrix",
 ]
 
@@ -276,11 +275,6 @@ class NeuralPseudo(_NeuralBase):
         yc = ys - self.rates_c
         return np.matmul(yc, coupling_matrix(xs, self.N)) / self.R, yc
 
-    def fields(self, x_n, spikes_n):
-        """Local fields z, shape (R, N), for one time bin."""
-        z, _ = self._fields(np.asarray(x_n, dtype=float)[None], spikes_n[None])
-        return z[0]
-
     def log_terms(self, xs, ys):
         yz = ys * self._fields(xs, ys)[0]
         return np.sum(yz - np.logaddexp(0.0, yz), axis=(1, 2))
@@ -388,11 +382,3 @@ def _sample_exact_field(family, xs, rng):
         picks[sl] = np.count_nonzero(cdf[:, None, :] <= u[sl, :, None], axis=2)
     return configs[picks]
 
-
-def neural_pseudo_field(model: NeuralPseudo, x_n, index_n: int, trial_k: int) -> np.ndarray:
-    """Per-neuron fields z for one time bin and trial of the pseudo-likelihood."""
-    if not 0 <= index_n < model.n_times:
-        raise IndexError(f"time index {index_n} outside 0..{model.n_times - 1}")
-    if not 0 <= trial_k < model.R:
-        raise IndexError(f"trial index {trial_k} outside 0..{model.R - 1}")
-    return model.fields(x_n, model.spikes[index_n])[trial_k]

@@ -163,20 +163,30 @@ class LinearGaussianSignal:
 
     def grad_log_transitions(self, xs: np.ndarray) -> np.ndarray:
         """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term):
-        -Sigma^-1 w_m on block m, A' Sigma^-1 w_{m+1} added on block m."""
+        -Sigma^-1 w_m on block m, A' Sigma^-1 w_{m+1} added on block m.
+
+        The diagonal path writes A x_{m-1} + b - x_m, which is -w_m exactly
+        (rounding is symmetric in sign), straight into block m, scales it
+        by Sigma^-1 there and subtracts A times it from block m - 1: the
+        same bits as negating Sigma^-1 w_m, in five passes over the path.
+        """
         G = np.empty_like(xs, dtype=float)
         G[0] = 0.0
         if xs.shape[0] == 1:
             return G
-        W = self.residuals(xs)
         if self._diag:
-            W *= self._si_d
-            np.negative(W, out=G[1:])
-            W *= self._a_d
-        else:
-            SiW = W @ self.Sigma_inv
-            np.negative(SiW, out=G[1:])
-            np.matmul(SiW, self.A, out=W)
+            V = G[1:]
+            np.multiply(xs[:-1], self._a_d, out=V)
+            V -= xs[1:]
+            if self._b_nonzero:
+                V += self.b
+            V *= self._si_d
+            G[:-1] -= V * self._a_d
+            return G
+        W = self.residuals(xs)
+        SiW = W @ self.Sigma_inv
+        np.negative(SiW, out=G[1:])
+        np.matmul(SiW, self.A, out=W)
         G[:-1] += W
         return G
 

@@ -1,6 +1,6 @@
 """Negative log posterior assembly: values and block gradients of a window
-of the chain, the full-path problem as the window (0, n), the phi-style
-local gradients as blocks of small windows, and Hessian quadratic forms.
+of the chain, the full-path problem as the window (0, n), and Hessian
+quadratic forms.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "grad_U",
     "WindowedObjective",
     "FullObjective",
-    "grad_phi",
-    "grad_phi_tilde",
     "hessian_quadratic_form",
 ]
 
@@ -45,6 +43,10 @@ class WindowedObjective:
     restricted to the window. Values include every normalization constant
     of the densities involved, so they are comparable across runs of the
     same family.
+
+    The objective holds the window's signal, likelihood and observations
+    and calls the families directly; ``_check`` is the one shape check
+    per call.
     """
 
     def __init__(self, model: ModelSpec, window: tuple[int, int], boundary_mode: str = "marginal-prior"):
@@ -53,7 +55,9 @@ class WindowedObjective:
                 f"boundary mode {boundary_mode!r} not one of {BOUNDARY_MODES}"
             )
         a, b = int(window[0]), int(window[1])
-        self.model = model.window(a, b)  # the window's own model, indexed from 0
+        sub = model.window(a, b)  # the window's own model, indexed from 0
+        self.signal, self.likelihood = sub.signal, sub.likelihood
+        self.observations = sub.observations
         self.window = (a, b)
         self.boundary_mode = boundary_mode
         self.n_blocks = b - a + 1
@@ -78,28 +82,27 @@ class WindowedObjective:
         if self._start == "flat-start":
             return 0.0
         if self._start == "initial":
-            return self.model.signal.log_mu(x_a)
+            return self.signal.log_mu(x_a)
         r = x_a - self._start_mean
         return -0.5 * (float(r @ self._start_prec @ r) + self._start_logdet + self.dim * _LOG_2PI)
 
     def _start_grad(self, x_a: np.ndarray) -> np.ndarray:
-        if self._start == "flat-start":
-            return np.zeros_like(x_a)
         if self._start == "initial":
-            return self.model.signal.grad_log_mu(x_a)
+            return self.signal.grad_log_mu(x_a)
         return -self._start_prec @ (x_a - self._start_mean)
 
     def value(self, xs: np.ndarray) -> float:
         self._check(xs)
-        val = self._start_term(xs[0]) + self.model.signal.log_f_sum(xs)
-        val += float(np.sum(self.model.log_g_terms(xs)))
+        val = self._start_term(xs[0]) + self.signal.log_f_sum(xs)
+        val += float(np.sum(self.likelihood.log_terms(xs, self.observations)))
         return -val
 
     def grad(self, xs: np.ndarray) -> np.ndarray:
         self._check(xs)
-        G = self.model.signal.grad_log_transitions(xs)  # a fresh array, summed into in place
-        G[0] += self._start_grad(xs[0])
-        G += self.model.grad_log_g(xs)
+        G = self.signal.grad_log_transitions(xs)  # a fresh array, summed into in place
+        if self._start != "flat-start":
+            G[0] += self._start_grad(xs[0])
+        G += self.likelihood.grad(xs, self.observations)
         return np.negative(G, out=G)
 
 
@@ -118,44 +121,6 @@ def eval_U(model: ModelSpec, x) -> float:
 def grad_U(model: ModelSpec, x) -> PathVector:
     """Block gradient of the negative log posterior for the full path."""
     return PathVector(FullObjective(model).grad(_as_blocks(x)))
-
-
-# ---------------------------------------------------------------------------
-# Local gradients of the summed log densities
-# ---------------------------------------------------------------------------
-
-def grad_phi(model: ModelSpec, x, index_n: int) -> np.ndarray:
-    """Gradient, with respect to block n, of the interior local sum
-    log f(x_{n-1}, x_n) + log f(x_n, x_{n+1}) + log g(x_n, y_n).
-
-    This is minus the middle block of the gradient of the window
-    (n-1, n+1), whose other terms do not involve x_n. Valid for
-    1 <= n <= horizon - 1; the boundary blocks use :func:`grad_phi_tilde`.
-    """
-    xs = _as_blocks(x)
-    n = int(index_n)
-    if not 1 <= n <= xs.shape[0] - 2:
-        raise IndexError(f"interior index must satisfy 1 <= n <= {xs.shape[0] - 2}, got {n}")
-    obj = WindowedObjective(model, (n - 1, n + 1), "flat-start")
-    return -obj.grad(xs[n - 1 : n + 2])[1]
-
-
-def grad_phi_tilde(model: ModelSpec, x, index_n: int) -> np.ndarray:
-    """Gradient, with respect to block n, of the boundary local sum.
-
-    Index 0 bundles the initial density, the forward transition (when a
-    next block exists) and the emission: minus block 0 of the gradient of
-    the window (0, 1), or (0, 0) for a one-block path. Index n >= 1
-    bundles the backward transition and the emission: minus the last
-    block of the gradient of the window (n-1, n).
-    """
-    xs = _as_blocks(x)
-    n = int(index_n)
-    if not 0 <= n <= xs.shape[0] - 1:
-        raise IndexError(f"index must satisfy 0 <= n <= {xs.shape[0] - 1}, got {n}")
-    lo, hi = (0, min(1, xs.shape[0] - 1)) if n == 0 else (n - 1, n)
-    obj = WindowedObjective(model, (lo, hi), "flat-start")
-    return -obj.grad(xs[lo : hi + 1])[n - lo]
 
 
 # ---------------------------------------------------------------------------

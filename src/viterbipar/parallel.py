@@ -57,6 +57,49 @@ def default_boundary_mode(model: ModelSpec) -> str:
     return "marginal-prior"
 
 
+def _pool(workers: int, num_segments: int):
+    """A process pool for the segment solves of a plan, or a null context
+    (which gives None) when they run inline."""
+    if workers <= 1 or num_segments == 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=min(workers, num_segments))
+
+
+def _segment_jobs(model: ModelSpec, plan: SegmentPlan, config: SolverConfig, mode: str) -> list:
+    """One (objective, configuration) job per enlarged range of the plan."""
+    return [(WindowedObjective(model, (lo, hi - 1), mode), config) for lo, hi in plan.enlarged]
+
+
+def _solve_segments(plan: SegmentPlan, jobs: list, pool) -> tuple[PathVector, list[SolveReport]]:
+    """Solve the plan's jobs, in ``pool`` or inline when it is None, and
+    stitch the segments from the reports collected by segment index."""
+    # calling a result solves its segment here, or waits for the pool's answer
+    if pool is None:
+        results = [partial(solve_windowed, *job) for job in jobs]
+    else:
+        results = [pool.submit(solve_windowed, *job).result for job in jobs]
+    reports: list[SolveReport] = []
+    failures = []
+    for k, result in enumerate(results):
+        try:
+            reports.append(result())
+        except DivergenceError as exc:
+            failures.append((k, exc))
+    if failures:
+        names = ", ".join(f"segment {k} ({exc})" for k, exc in failures)
+        raise DivergenceError(
+            f"{len(failures)} segment solve(s) diverged: {names}",
+            segments=[k for k, _ in failures],
+        )
+
+    stitched = np.empty((plan.horizon_n + 1, jobs[0][0].dim))
+    for k, (seg, enl) in enumerate(zip(plan.segments, plan.enlarged)):
+        lo, hi = seg
+        off = lo - enl[0]
+        stitched[lo:hi] = reports[k].solution.blocks[off : off + (hi - lo)]
+    return PathVector(stitched), reports
+
+
 def solve_parallel(
     model: ModelSpec,
     plan: SegmentPlan,
@@ -76,36 +119,11 @@ def solve_parallel(
         )
     mode = boundary_mode or default_boundary_mode(model)
     t_start = time.perf_counter()
-    jobs = [(WindowedObjective(model, (lo, hi - 1), mode), config) for lo, hi in plan.enlarged]
-
-    inline = workers <= 1 or len(jobs) == 1
-    reports: list[SolveReport] = []
-    failures = []
-    with nullcontext() if inline else ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        # calling a result solves its segment here, or waits for the pool's answer
-        if inline:
-            results = [partial(solve_windowed, *job) for job in jobs]
-        else:
-            results = [pool.submit(solve_windowed, *job).result for job in jobs]
-        for k, result in enumerate(results):
-            try:
-                reports.append(result())
-            except DivergenceError as exc:
-                failures.append((k, exc))
-    if failures:
-        names = ", ".join(f"segment {k} ({exc})" for k, exc in failures)
-        raise DivergenceError(
-            f"{len(failures)} segment solve(s) diverged: {names}",
-            segments=[k for k, _ in failures],
-        )
-
-    stitched = np.empty((plan.horizon_n + 1, model.dim))
-    for k, (seg, enl) in enumerate(zip(plan.segments, plan.enlarged)):
-        lo, hi = seg
-        off = lo - enl[0]
-        stitched[lo:hi] = reports[k].solution.blocks[off : off + (hi - lo)]
+    jobs = _segment_jobs(model, plan, config, mode)
+    with _pool(workers, len(jobs)) as pool:
+        stitched, reports = _solve_segments(plan, jobs, pool)
     return ParallelSolveReport(
-        stitched=PathVector(stitched),
+        stitched=stitched,
         per_segment=reports,
         plan=plan,
         boundary_mode=mode,
@@ -145,11 +163,12 @@ def sweep_delta(
 
     The reference is the single-segment, zero-overlap solve under the
     identical solver configuration; speedup is its wall clock over each
-    parallel wall clock. Returns (rows, reference report, boundary mode
-    used by the segment solves). A reference that is the zero path, as
-    all-zero observations of a zero-mean chain give, leaves every
-    relative error undefined and raises ValueError before any segment
-    solve.
+    parallel wall clock. One process pool serves every delta, so the
+    first row's wall clock includes the pool's start-up. Returns (rows,
+    reference report, boundary mode used by the segment solves). A
+    reference that is the zero path, as all-zero observations of a
+    zero-mean chain give, leaves every relative error undefined and
+    raises ValueError before any segment solve.
     """
     if sorted(deltas) != list(deltas) or any(d < 0 for d in deltas):
         raise ValueError("deltas must be nonnegative and sorted ascending")
@@ -160,16 +179,25 @@ def sweep_delta(
             "errors relative to it are undefined"
         )
     mode = boundary_mode or default_boundary_mode(model)
-    rows = []
+    # every window is built before the pool starts
+    runs = []
     for delta in deltas:
+        t_start = time.perf_counter()
         plan = build_segment_plan(model.horizon, num_segments_l, delta)
-        report = solve_parallel(model, plan, config, workers=workers, boundary_mode=mode)
-        rows.append(
-            SweepRow(
-                delta=int(delta),
-                rel_error=relative_error(report.stitched, reference.solution),
-                wall_clock_s=report.wall_clock_seconds,
-                speedup=reference.wall_clock_seconds / max(report.wall_clock_seconds, 1e-12),
+        runs.append((delta, plan, _segment_jobs(model, plan, config, mode),
+                     time.perf_counter() - t_start))
+    rows = []
+    with _pool(workers, num_segments_l) as pool:
+        for delta, plan, jobs, build_s in runs:
+            t_start = time.perf_counter()
+            stitched, _ = _solve_segments(plan, jobs, pool)
+            wall = build_s + time.perf_counter() - t_start
+            rows.append(
+                SweepRow(
+                    delta=int(delta),
+                    rel_error=relative_error(stitched, reference.solution),
+                    wall_clock_s=wall,
+                    speedup=reference.wall_clock_seconds / max(wall, 1e-12),
+                )
             )
-        )
     return rows, reference, mode

@@ -70,9 +70,14 @@ class SolveReport:
 
     ``converged`` is true when the final discounted gradient norm is
     within the tolerance; a solve that stopped at ``max_iters`` short of
-    it returns normally with ``converged`` false. ``grad_evals`` and
-    ``value_evals`` count the objective's gradient and value calls,
-    including the final point's value.
+    it returns normally with ``converged`` false, and ``stop_reason``
+    names the rule that ended it: ``"tolerance"`` or ``"max_iters"``.
+    ``grad_evals`` and ``value_evals`` count the objective's gradient and
+    value calls, including the final point's value. In backtracking mode
+    ``halvings`` counts the rejected trial steps and ``coasting_steps`` the
+    steps taken without a sufficient-decrease test, so that
+    ``value_evals == 2 + iterations - coasting_steps + halvings``; both
+    are zero in fixed mode.
     """
 
     solution: PathVector
@@ -83,13 +88,19 @@ class SolveReport:
     converged: bool
     grad_evals: int
     value_evals: int
+    stop_reason: str
+    halvings: int
+    coasting_steps: int
 
     def to_dict(self) -> dict:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "grad_evals": self.grad_evals,
             "value_evals": self.value_evals,
+            "halvings": self.halvings,
+            "coasting_steps": self.coasting_steps,
             "final_grad_norm": self.final_grad_norm,
             "objective_value": self.objective_value,
             "wall_clock_seconds": self.wall_clock_seconds,
@@ -101,15 +112,19 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
 
     ``objective.grad`` returns a fresh array, so the fixed-step update
     may scale it in place and subtract it from ``x``, the loop's own copy.
+    At gamma = 1 the discounted norm is the plain 2-norm: one BLAS dot
+    product of the gradient with itself, whose value also serves the
+    backtracking tests. Other gammas weight each block's squared norm.
     """
     t_start = time.perf_counter()
     x = np.array(init, dtype=float)
-    weights = gamma_weights(x.shape[0], config.gamma.gamma)
+    plain = config.gamma.gamma == 1.0
+    weights = None if plain else gamma_weights(x.shape[0], config.gamma.gamma)
     tol = config.resolved_tol(x.shape[0])
 
     backtracking = config.step_mode == "backtracking"
     h = config.step_size
-    grad_evals = value_evals = 0
+    grad_evals = value_evals = halvings = coasting_steps = 0
     fx = None
     if backtracking:
         fx = objective.value(x)
@@ -125,7 +140,11 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     for it in range(config.max_iters + 1):
         g = objective.grad(x)
         grad_evals += 1
-        gnorm = _weighted_norm(g, weights)
+        if plain:
+            g_sq = float(np.vdot(g, g))
+            gnorm = math.sqrt(g_sq)
+        else:
+            gnorm = _weighted_norm(g, weights)
         # a finite gradient can only have a non-finite norm by overflow
         if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
             raise DivergenceError(
@@ -136,7 +155,8 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
             break
         iterations = it + 1
         if backtracking:
-            g_sq = float(np.einsum("md,md->", g, g))
+            if not plain:
+                g_sq = float(np.einsum("md,md->", g, g))
             if accepted_any and _ARMIJO_C * h * g_sq <= 8.0 * _EPS * max(1.0, abs(fx)):
                 # the sufficient-decrease test is below floating resolution
                 # and would only measure rounding noise; coast on fixed
@@ -145,12 +165,13 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
                 if not coasting:
                     h *= 0.5
                     coasting = True
+                coasting_steps += 1
                 x = x - h * g
                 continue
             coasting = False
             if grow:
                 h = min(h * 2.0, config.step_size)
-            halvings = 0
+            rejected = 0
             while True:
                 x_new = x - h * g
                 f_new = objective.value(x_new)
@@ -158,12 +179,13 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
                 if math.isfinite(f_new) and f_new <= fx - _ARMIJO_C * h * g_sq:
                     break
                 h *= 0.5
-                halvings += 1
+                rejected += 1
                 if h < 1e-300:
                     raise DivergenceError(
                         f"backtracking step underflow at iteration {it}", iteration=it
                     )
-            grow = halvings == 0
+            halvings += rejected
+            grow = rejected == 0
             accepted_any = True
             # the Armijo test above gives f_new <= fx: the objective does
             # not increase across accepted steps
@@ -185,6 +207,9 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
         converged=gnorm <= tol,
         grad_evals=grad_evals,
         value_evals=value_evals,
+        stop_reason="tolerance" if gnorm <= tol else "max_iters",
+        halvings=halvings,
+        coasting_steps=coasting_steps,
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared model builders and reference norms for the test suite."""
+"""Shared model builders, reference norms and reference local gradients
+and fields for the test suite."""
 
 import math
 
@@ -15,6 +16,7 @@ from viterbipar import (
     StochVolFactor,
     StudentTEmission,
     TanhDrift,
+    WindowedObjective,
     simulate,
     stationary_covariance,
 )
@@ -38,6 +40,49 @@ def weighted_norm_at(x, center_n, w):
     m = np.arange(x.blocks.shape[0])
     weights = float(w.gamma) ** np.abs(m - center_n)
     return math.sqrt(float(np.einsum("md,md->m", x.blocks, x.blocks) @ weights))
+
+
+def grad_phi(model, xs, n):
+    """Gradient, with respect to block n, of the interior local sum
+    log f(x_{n-1}, x_n) + log f(x_n, x_{n+1}) + log g(x_n, y_n): minus the
+    middle block of the gradient of the flat-start window (n-1, n+1),
+    whose other terms do not involve x_n. Valid for 1 <= n <= horizon - 1."""
+    xs = np.asarray(getattr(xs, "blocks", xs), dtype=float)
+    if not 1 <= n <= xs.shape[0] - 2:
+        raise IndexError(f"interior index must satisfy 1 <= n <= {xs.shape[0] - 2}, got {n}")
+    obj = WindowedObjective(model, (n - 1, n + 1), "flat-start")
+    return -obj.grad(xs[n - 1 : n + 2])[1]
+
+
+def grad_phi_tilde(model, xs, n):
+    """Gradient, with respect to block n, of the boundary local sum.
+
+    Index 0 bundles the initial density, the forward transition (when a
+    next block exists) and the emission: minus block 0 of the gradient of
+    the window (0, 1), or (0, 0) for a one-block path. Index n >= 1
+    bundles the backward transition and the emission: minus the last
+    block of the gradient of the flat-start window (n-1, n)."""
+    xs = np.asarray(getattr(xs, "blocks", xs), dtype=float)
+    if not 0 <= n <= xs.shape[0] - 1:
+        raise IndexError(f"index must satisfy 0 <= n <= {xs.shape[0] - 1}, got {n}")
+    lo, hi = (0, min(1, xs.shape[0] - 1)) if n == 0 else (n - 1, n)
+    obj = WindowedObjective(model, (lo, hi), "flat-start")
+    return -obj.grad(xs[lo : hi + 1])[n - lo]
+
+
+def pseudo_fields(lik, x_n, spikes_n):
+    """Local fields z, shape (R, N), of a NeuralPseudo family at one time bin."""
+    z, _ = lik._fields(np.asarray(x_n, dtype=float)[None], spikes_n[None])
+    return z[0]
+
+
+def neural_pseudo_field(lik, x_n, index_n, trial_k):
+    """Per-neuron fields z for one time bin and trial of the pseudo-likelihood."""
+    if not 0 <= index_n < lik.n_times:
+        raise IndexError(f"time index {index_n} outside 0..{lik.n_times - 1}")
+    if not 0 <= trial_k < lik.R:
+        raise IndexError(f"trial index {trial_k} outside 0..{lik.R - 1}")
+    return pseudo_fields(lik, x_n, lik.spikes[index_n])[trial_k]
 
 
 def lg_signal(d=1, a=0.5, sigma_sq=1.0, b=0.0, b0=0.0, sigma0_sq=1.0, stationary=False):

@@ -155,6 +155,23 @@ class TestCli:
         assert all(seg["grad_evals"] == 3 for seg in segments)
         assert all(seg["value_evals"] >= 3 for seg in segments)
 
+    def test_stop_reason_and_search_counts_reported(self, runner, tmp_path):
+        cfg = write_lg_config(tmp_path / "m.json")
+        sim = tmp_path / "sim"
+        runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "51", "--seed", "1", "--out", str(sim)])
+        obs = str(sim / "observations.csv")
+        r1 = runner.invoke(main, ["solve", "--model", str(cfg), "--obs", obs, "--out", str(tmp_path / "a"),
+                                  "--grad-tol", "1e-10"])
+        r2 = runner.invoke(main, ["solve-par", "--model", str(cfg), "--obs", obs, "--out", str(tmp_path / "b"),
+                                  "--l", "2", "--delta", "3", "--max-iters", "2", "--grad-tol", "1e-12"])
+        assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
+        for entry in [json.loads(r1.output)] + json.loads(r2.output)["per_segment"]:
+            # backtracking: the start and final values, one per tested step and halving
+            assert entry["value_evals"] == (2 + entry["iterations"] - entry["coasting_steps"]
+                                            + entry["halvings"])
+        assert json.loads(r1.output)["stop_reason"] == "tolerance"
+        assert [seg["stop_reason"] for seg in json.loads(r2.output)["per_segment"]] == ["max_iters"] * 2
+
     def test_solve_par_degenerate_equals_solve(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")
         sim = tmp_path / "sim"

@@ -26,9 +26,6 @@ from viterbipar import (
     eta_bound,
     eval_U,
     finite_diff_grad,
-    grad_phi,
-    grad_phi_tilde,
-    neural_pseudo_field,
     simulate,
     solve_map,
     stationary_covariance,
@@ -40,9 +37,13 @@ from viterbipar.errors import ShapeError, UnsupportedBoundError
 from conftest import (
     balanced_spikes,
     gaussian_model_with_obs,
+    grad_phi,
+    grad_phi_tilde,
     huber_signal,
     lg_signal,
     neural_model,
+    neural_pseudo_field,
+    pseudo_fields,
     random_spikes,
     stochvol_model,
     student_model,
@@ -359,7 +360,7 @@ class TestBatchedKernels:
             D = spikes[m] * (0.5 * (1.0 - np.tanh(0.5 * (spikes[m] * z))))
             M = D.T @ yc
             want_grad[m] = (M + M.T)[iu] / R
-            np.testing.assert_array_equal(lik.fields(xs[m], spikes[m]), z)
+            np.testing.assert_array_equal(pseudo_fields(lik, xs[m], spikes[m]), z)
         np.testing.assert_array_equal(lik.log_terms(xs, spikes), want_val)
         np.testing.assert_array_equal(lik.grad(xs, spikes), want_grad)
 
@@ -456,7 +457,7 @@ class TestScipyReferences:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = lik.grad(xs, spikes)
-        z = np.stack([lik.fields(xs[m], spikes[m]) for m in range(T)])
+        z = np.stack([pseudo_fields(lik, xs[m], spikes[m]) for m in range(T)])
         if scale > 1.0:
             assert np.max(np.abs(z)) > 800.0
         want = np.empty((T, lik.d))

@@ -54,6 +54,40 @@ def assemble_gaussian_hessian(model):
     return H
 
 
+def _family_model(family, n, rng):
+    if family == "gaussian":
+        return gaussian_model_with_obs(rng.standard_normal((n + 1, 2)), a=0.6, b=0.2)
+    if family == "student":
+        return student_model(n=n, d=2)
+    if family == "stochvol":
+        return stochvol_model(n=n)
+    return neural_model(N=3, R=2, n=n, exact=(family == "exact"))
+
+
+def _model_assembly(model, window, mode, xs):
+    """(value, gradient) of a window from the window model's log_g_terms and
+    grad_log_g, the signal's transition terms and the start term."""
+    a, b = window
+    sub = model.window(a, b)
+    sig = sub.signal
+    if a == 0 or mode == "full-prior":
+        start_value, start_grad = sig.log_mu(xs[0]), sig.grad_log_mu(xs[0])
+    elif mode == "marginal-prior":
+        mean, cov = model.signal.marginal_params(a)
+        prec, r = np.linalg.inv(cov), xs[0] - mean
+        logdet = float(np.linalg.slogdet(cov)[1])
+        start_value = -0.5 * (float(r @ prec @ r) + logdet + model.dim * math.log(2.0 * math.pi))
+        start_grad = -prec @ r
+    else:
+        start_value, start_grad = 0.0, np.zeros(model.dim)
+    value = start_value + sig.log_f_sum(xs)
+    value += float(np.sum(sub.log_g_terms(xs)))
+    G = sig.grad_log_transitions(xs)
+    G[0] += start_grad
+    G += sub.grad_log_g(xs)
+    return -value, -G
+
+
 class TestEvalU:
     def test_constants_only_hand_value(self):
         # n=0, standard normal prior and emission, x = y = 0:
@@ -196,6 +230,24 @@ class TestWindowedObjective:
         assert not np.array_equal(g1, g2)
         obj.value(x)
         assert np.array_equal(x, x_kept)
+
+    @pytest.mark.parametrize("family", ["gaussian", "student", "stochvol", "pseudo", "exact"])
+    def test_direct_family_calls_match_model_assembly(self, family, rng):
+        """value and grad, which call the families on the window's own
+        observations, equal bit for bit the assembly through the window
+        model's log_g_terms and grad_log_g: windows at a = 0, at a > 0 in
+        every boundary mode, and the full range."""
+        n = 10
+        model = _family_model(family, n, rng)
+        cases = [((0, 4), mode) for mode in ("full-prior", "marginal-prior", "flat-start")]
+        cases += [((3, 8), mode) for mode in ("full-prior", "marginal-prior", "flat-start")]
+        cases += [((0, n), "full-prior"), ((0, n), "flat-start"), ((n, n), "marginal-prior")]
+        for (a, b), mode in cases:
+            obj = WindowedObjective(model, (a, b), mode)
+            xs = rng.standard_normal((b - a + 1, model.dim))
+            want_value, want_grad = _model_assembly(model, (a, b), mode, xs)
+            assert obj.value(xs) == want_value, (a, b, mode)
+            assert np.array_equal(obj.grad(xs), want_grad), (a, b, mode)
 
     def test_nonneural_families_support_windows(self, rng):
         model = stochvol_model(n=8)

@@ -227,6 +227,23 @@ class TestSegmentJobs:
             assert np.array_equal(shipped.stitched.blocks, inline.stitched.blocks)
         assert set(sizes[23]) == set(sizes[95])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_opens_one_pool(self, monkeypatch, workers):
+        built = []
+
+        class CountingExecutor(_pickling_executor([])):
+            def __init__(self, max_workers=None):
+                built.append(max_workers)
+
+        monkeypatch.setattr("viterbipar.parallel.ProcessPoolExecutor", CountingExecutor)
+        model = _model(n=47)
+        rows, _, _ = sweep_delta(model, 4, [0, 2, 4], CONFIG, workers=workers)
+        assert built == ([2] if workers == 2 else [])
+        for row, delta in zip(rows, [0, 2, 4]):
+            plan = build_segment_plan(47, 4, delta)
+            inline = solve_parallel(model, plan, CONFIG, workers=1)
+            assert row.rel_error == relative_error(inline.stitched, solve_map(model, CONFIG).solution)
+
     def test_unbuildable_window_fails_before_the_pool_starts(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("the pool started before every window was built")

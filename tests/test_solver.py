@@ -98,17 +98,17 @@ class TestSolveMap:
         # regression lock for the iterate sequence (value frozen from this model)
         assert r1.objective_value == pytest.approx(46.902390094206815, rel=1e-12)
 
-    def test_fixed_step_matches_reference_loop(self, rng):
-        # the in-place update g *= h; x -= g is the plain x = x - h g
+    def check_reference_loop(self, rng, gamma):
+        """A fixed-step solve against the plain loop x = x - h g that stops
+        on the per-block squared norms weighted by gamma^m."""
         ys = rng.standard_normal((60, 3))
         model = gaussian_model_with_obs(ys, a=0.8, b=0.3)
         obj = FullObjective(model)
         h = 1.0 / estimate_grad_lipschitz(obj)
-        gamma = GammaWeight(0.9)
         config = SolverConfig(step_mode="fixed", step_size=h, max_iters=5000, grad_tol=1e-9,
-                              gamma=gamma)
+                              gamma=GammaWeight(gamma))
         report = solve_map(model, config)
-        weights = gamma_weights(60, gamma.gamma)
+        weights = gamma_weights(60, gamma)
         x = np.zeros((60, 3))
         for it in range(config.max_iters):
             g = obj.grad(x)
@@ -117,6 +117,25 @@ class TestSolveMap:
             x = x - h * g
         assert report.converged and 0 < report.iterations == it
         assert np.array_equal(report.solution.blocks, x)
+
+    def test_fixed_step_matches_reference_loop(self, rng):
+        # the in-place update g *= h; x -= g is the plain x = x - h g
+        self.check_reference_loop(rng, 0.9)
+
+    def test_fixed_step_matches_reference_loop_gamma_one(self, rng):
+        # at gamma = 1 the loop's norm is one dot product; the reference
+        # still sums per-block squared norms with unit weights
+        self.check_reference_loop(rng, 1.0)
+
+    @pytest.mark.parametrize("step_mode", ["fixed", "backtracking"])
+    def test_gamma_one_norm_is_the_final_gradient_norm(self, rng, step_mode):
+        model = gaussian_model_with_obs(rng.standard_normal((80, 3)), a=0.7)
+        h = 1.0 / estimate_grad_lipschitz(FullObjective(model)) if step_mode == "fixed" else 4.0
+        config = SolverConfig(step_mode=step_mode, step_size=h, grad_tol=1e-9, max_iters=5000)
+        report = solve_map(model, config)
+        assert report.converged
+        want = gamma_norm(grad_U(model, report.solution), GammaWeight(1.0))
+        assert report.final_grad_norm == pytest.approx(want, rel=1e-14, abs=0.0)
 
     def test_contraction_between_two_starts(self, rng):
         model = gaussian_model_with_obs(rng.standard_normal(40), a=0.5, stationary=True)
@@ -189,6 +208,40 @@ class TestEvaluationCounts:
         # five steps, then the gradient at the final point
         assert report.grad_evals == 6
         assert report.value_evals == 1
+
+
+class TestSolveStatus:
+    def test_stop_reasons(self, rng):
+        model = gaussian_model_with_obs(rng.standard_normal(200), a=0.95, sigma_sq=1e-4)
+        for step_mode in ("fixed", "backtracking"):
+            capped = solve_map(model, SolverConfig(step_mode=step_mode, step_size=0.1, max_iters=5))
+            assert not capped.converged and capped.stop_reason == "max_iters"
+            assert capped.to_dict()["stop_reason"] == "max_iters"
+        model = gaussian_model_with_obs(rng.standard_normal(30), a=0.5)
+        done = solve_map(model, SolverConfig(grad_tol=1e-9))
+        assert done.converged and done.stop_reason == "tolerance"
+        assert done.to_dict()["stop_reason"] == "tolerance"
+
+    def test_fixed_mode_neither_halves_nor_coasts(self, rng):
+        model = gaussian_model_with_obs(rng.standard_normal(30), a=0.5)
+        h = 1.0 / estimate_grad_lipschitz(FullObjective(model))
+        report = solve_map(model, SolverConfig(step_mode="fixed", step_size=h, grad_tol=1e-9))
+        assert report.iterations > 0
+        assert (report.halvings, report.coasting_steps) == (0, 0)
+
+    @pytest.mark.parametrize("grad_tol, max_iters", [(1e-9, 3000), (0.0, 300)])
+    def test_backtracking_value_count(self, rng, grad_tol, max_iters):
+        # the start value, one accepted trial per tested step, one per
+        # halving, and the final value; coasting steps test nothing
+        model = gaussian_model_with_obs(rng.standard_normal((30, 2)), a=0.5)
+        obj = CountingObjective(FullObjective(model))
+        report = solve_windowed(obj, SolverConfig(step_size=4.0, grad_tol=grad_tol,
+                                                  max_iters=max_iters))
+        assert report.halvings > 0 and report.coasting_steps > 0
+        assert obj.value_evals == report.value_evals
+        assert report.value_evals == 2 + report.iterations - report.coasting_steps + report.halvings
+        d = report.to_dict()
+        assert (d["halvings"], d["coasting_steps"]) == (report.halvings, report.coasting_steps)
 
 
 class TestSolveWindowed:
