@@ -215,7 +215,7 @@ def _beta_array(model: ModelSpec, upto: int) -> np.ndarray:
     # the transition gradient on a zero 3-block path: block 0 carries the
     # forward transition only, block 1 both, block 2 the backward only
     fwd, both, bwd = sig.grad_log_transitions(np.zeros((3, d)))
-    gk = model.grad_log_g(np.zeros((upto + 1, d)))
+    gk = model.likelihood.grad(np.zeros((upto + 1, d)), model.observations[: upto + 1])
 
     tilde = bwd + gk
     tilde[0] = sig.grad_log_mu(np.zeros(d)) + (fwd if model.horizon >= 1 else 0.0) + gk[0]

@@ -104,20 +104,21 @@ def write_spike_bundle(directory, spikes: np.ndarray, bin_width: float = 0.01):
     """Write spikes (T, R, N) as trial_<k>.csv files plus manifest.json.
 
     Trial files are headerless 0/1 grids: rows are time bins, columns are
-    neurons.
+    neurons. A non-finite entry raises ValueError before anything is
+    written.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     spikes = np.asarray(spikes)
     T, R, N = spikes.shape
+    if not np.all(np.isfinite(spikes)):
+        raise ValueError("spikes must be finite")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     files = []
     for k in range(R):
         name = f"trial_{k}.csv"
         files.append(name)
         with open(directory / name, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for t in range(T):
-                writer.writerow([int(v) for v in spikes[t, k]])
+            csv.writer(fh).writerows(spikes[:, k].astype(np.int64).tolist())
     manifest = {"N": N, "R": R, "bin_width": bin_width, "files": files}
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

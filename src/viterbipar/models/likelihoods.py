@@ -18,6 +18,7 @@ the sliced series (see ``ModelSpec.window``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -206,25 +207,38 @@ def _softmax(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, (top + np.log(total))[:, 0]
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_index(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of the N(N-1)/2 neuron pairs (i, j), i < j, in the
+    row-major (N*N,) layout of an (N, N) matrix: ``up`` holds i*N + j,
+    ``lo`` holds j*N + i, and ``fill`` maps each of the N*N entries to
+    its pair's coordinate, the diagonal to coordinate N(N-1)/2."""
+    i, j = np.triu_indices(N, k=1)
+    up, lo = i * N + j, j * N + i
+    fill = np.full(N * N, i.shape[0])
+    fill[up] = fill[lo] = np.arange(i.shape[0])
+    for index in (up, lo, fill):  # shared by every caller
+        index.setflags(write=False)
+    return up, lo, fill
+
+
 def coupling_matrix(x: np.ndarray, N: int) -> np.ndarray:
     """Symmetric zero-diagonal coupling matrix from the flat vector x.
 
     A (d,) vector gives an (N, N) matrix and a (T, d) stack a (T, N, N)
-    stack.
+    stack: one gather from x with a zero appended for the diagonal.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != N * (N - 1) // 2:
-        raise ShapeError(f"coupling vector must have length N(N-1)/2 = {N * (N - 1) // 2}")
-    X = np.zeros(x.shape[:-1] + (N, N))
-    i, j = np.triu_indices(N, k=1)
-    X[..., i, j] = x
-    return X + np.swapaxes(X, -1, -2)
-
-
-def _flat_upper(M: np.ndarray) -> np.ndarray:
-    """Strict upper triangles of the trailing (N, N) matrices, flattened."""
-    i, j = np.triu_indices(M.shape[-1], k=1)
-    return M[..., i, j]
+    d = N * (N - 1) // 2
+    if x.ndim not in (1, 2) or x.shape[-1] != d:
+        raise ShapeError(f"coupling vector must have length N(N-1)/2 = {d}")
+    padded = np.empty(x.shape[:-1] + (d + 1,))
+    np.add(x, 0.0, out=padded[..., :d])  # -0.0 becomes +0.0, as in X + X.T
+    padded[..., d] = 0.0
+    # take, unlike fancy indexing on the last axis, returns a C-ordered
+    # stack, and matmul's last bits depend on the layout
+    X = np.take(padded, _pair_index(N)[2], axis=-1)
+    return X.reshape(x.shape[:-1] + (N, N))
 
 
 class _NeuralBase:
@@ -268,23 +282,47 @@ class NeuralPseudo(_NeuralBase):
 
     Each neuron/trial factor is exp(y z) / (1 + exp(y z)) where z is the
     local field of the neuron given the other neurons' centered spikes.
+
+    The kernels allocate little per call. ``coupling_matrix`` builds the
+    (T, N, N) coupling stack in one gather; the fields are one batched
+    matmul, divided by R in place; ``grad`` runs its tanh chain in the
+    fields' own buffer and reads each pair's sum M[i, j] + M[j, i] by two
+    flat gathers of the (T, N*N) product. Every value and gradient equals
+    the per-bin formulas bit for bit. ``log_terms`` keeps
+    ``np.logaddexp``: the branch-free form min(t, 0) - log1p(exp(-|t|))
+    is faster but differs in the last bits.
     """
 
     def _fields(self, xs, ys):
         """Local fields z, shape (T, R, N), and the centered spikes."""
         yc = ys - self.rates_c
-        return np.matmul(yc, coupling_matrix(xs, self.N)) / self.R, yc
+        z = np.matmul(yc, coupling_matrix(xs, self.N))
+        z /= self.R
+        return z, yc
 
     def log_terms(self, xs, ys):
-        yz = ys * self._fields(xs, ys)[0]
-        return np.sum(yz - np.logaddexp(0.0, yz), axis=(1, 2))
+        yz, _ = self._fields(xs, ys)
+        yz *= ys
+        soft = np.logaddexp(0.0, yz)
+        np.subtract(yz, soft, out=soft)
+        return np.sum(soft, axis=(1, 2))
 
     def grad(self, xs, ys):
-        z, yc = self._fields(xs, ys)
-        # 1 - expit(ys z), by tanh so that no finite field overflows
-        D = ys * (0.5 * (1.0 - np.tanh(0.5 * (ys * z))))  # (T, R, N)
-        M = np.matmul(np.swapaxes(D, 1, 2), yc)
-        return _flat_upper(M + np.swapaxes(M, 1, 2)) / self.R
+        D, yc = self._fields(xs, ys)
+        # D = ys (1 - expit(ys z)) = ys * 0.5 (1 - tanh(0.5 ys z)), by tanh
+        # so that no finite field overflows; in place, in z's buffer
+        D *= ys
+        D *= 0.5
+        np.tanh(D, out=D)
+        np.subtract(1.0, D, out=D)
+        D *= 0.5
+        D *= ys
+        M = np.matmul(np.swapaxes(D, 1, 2), yc).reshape(D.shape[0], -1)
+        up, lo, _ = _pair_index(self.N)
+        G = M[:, up]
+        G += M[:, lo]
+        G /= self.R
+        return G
 
     def sample(self, xs, rng):
         return _sample_exact_field(self, xs, rng)
@@ -330,7 +368,8 @@ class NeuralExact(_NeuralBase):
     def _suff(self, ys):
         """Centered pair-product means over trials, shape (T, d)."""
         yc = ys - self.rates_c
-        return _flat_upper(np.matmul(np.swapaxes(yc, 1, 2), yc)) / self.R
+        M = np.matmul(np.swapaxes(yc, 1, 2), yc).reshape(yc.shape[0], -1)
+        return M[:, _pair_index(self.N)[0]] / self.R
 
     def log_terms(self, xs, ys):
         return np.einsum("md,md->m", xs, self._suff(ys)) - self._log_normalizers(xs)

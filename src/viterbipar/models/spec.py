@@ -148,19 +148,6 @@ class ModelSpec:
             return ModelSpec(self.signal, lik, observations=None, chi=self.chi)
         return replace(self, observations=np.asarray(obs, dtype=float))
 
-    # -- likelihood plumbing ----------------------------------------------
-
-    def _obs_for(self, xs: np.ndarray) -> np.ndarray:
-        """Observations at indices 0..len(xs)-1."""
-        self.require_horizon(xs.shape[0] - 1)
-        return self.observations[: xs.shape[0]]
-
-    def log_g_terms(self, xs: np.ndarray) -> np.ndarray:
-        return self.likelihood.log_terms(xs, self._obs_for(xs))
-
-    def grad_log_g(self, xs: np.ndarray) -> np.ndarray:
-        return self.likelihood.grad(xs, self._obs_for(xs))
-
 
 # ---------------------------------------------------------------------------
 # Simulation

@@ -1,5 +1,5 @@
-"""Shared model builders, reference norms and reference local gradients
-and fields for the test suite."""
+"""Shared model builders, reference norms, reference local gradients and
+fields, and reference spike-coupling kernels for the test suite."""
 
 import math
 
@@ -68,6 +68,62 @@ def grad_phi_tilde(model, xs, n):
     lo, hi = (0, min(1, xs.shape[0] - 1)) if n == 0 else (n - 1, n)
     obj = WindowedObjective(model, (lo, hi), "flat-start")
     return -obj.grad(xs[lo : hi + 1])[n - lo]
+
+
+def log_g_terms(model, xs):
+    """Per-index log g(x_m, y_m) of a model at indices 0..len(xs)-1."""
+    model.require_horizon(xs.shape[0] - 1)
+    return model.likelihood.log_terms(xs, model.observations[: xs.shape[0]])
+
+
+def grad_log_g(model, xs):
+    """Per-block gradients of log g(x_m, y_m) at indices 0..len(xs)-1."""
+    model.require_horizon(xs.shape[0] - 1)
+    return model.likelihood.grad(xs, model.observations[: xs.shape[0]])
+
+
+def flat_upper(M):
+    """Strict upper triangles of the trailing (N, N) matrices, flattened."""
+    i, j = np.triu_indices(M.shape[-1], k=1)
+    return M[..., i, j]
+
+
+def scattered_coupling(x, N):
+    """Coupling stack built by scattering x into zeros and adding the
+    transpose."""
+    X = np.zeros(x.shape[:-1] + (N, N))
+    i, j = np.triu_indices(N, k=1)
+    X[..., i, j] = x
+    return X + np.swapaxes(X, -1, -2)
+
+
+class ReferencePseudo(NeuralPseudo):
+    """NeuralPseudo with kernels that rebuild and copy per call: a
+    scattered coupling stack, out-of-place tanh chain and a symmetrised
+    stack read by a 2-D gather."""
+
+    def _fields(self, xs, ys):
+        yc = ys - self.rates_c
+        return np.matmul(yc, scattered_coupling(xs, self.N)) / self.R, yc
+
+    def log_terms(self, xs, ys):
+        yz = ys * self._fields(xs, ys)[0]
+        return np.sum(yz - np.logaddexp(0.0, yz), axis=(1, 2))
+
+    def grad(self, xs, ys):
+        z, yc = self._fields(xs, ys)
+        D = ys * (0.5 * (1.0 - np.tanh(0.5 * (ys * z))))
+        M = np.matmul(np.swapaxes(D, 1, 2), yc)
+        return flat_upper(M + np.swapaxes(M, 1, 2)) / self.R
+
+
+def exact_reference_kernels(lik, xs, ys):
+    """(log_terms, grad) of a NeuralExact family with its centered
+    pair-product means read by ``flat_upper``."""
+    yc = ys - lik.rates_c
+    suff = flat_upper(np.matmul(np.swapaxes(yc, 1, 2), yc)) / lik.R
+    value = np.einsum("md,md->m", xs, suff) - lik._log_normalizers(xs)
+    return value, suff - lik._normalizer_grads(xs)
 
 
 def pseudo_fields(lik, x_n, spikes_n):

@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import csv
 import json
 import os
 from pathlib import Path
@@ -79,6 +80,28 @@ class TestTables:
         assert np.array_equal(spikes, back)
         assert width == 0.01
         np.testing.assert_allclose(rates, spikes.mean(axis=(0, 1)))
+
+    def test_spike_bundle_bytes_for_float_int_and_bool(self, tmp_path):
+        spikes = random_spikes(5, 3, 11)
+        want = []
+        for k in range(3):  # one csv row of ints per time bin
+            with open(tmp_path / f"want_{k}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                for t in range(11):
+                    writer.writerow([int(v) for v in spikes[t, k]])
+            want.append((tmp_path / f"want_{k}.csv").read_bytes())
+        for kind in (float, np.int64, bool):
+            out = tmp_path / np.dtype(kind).name
+            vio.write_spike_bundle(out, spikes.astype(kind))
+            assert [(out / f"trial_{k}.csv").read_bytes() for k in range(3)] == want, kind
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spike_bundle_rejects_non_finite_before_writing(self, tmp_path, bad):
+        spikes = random_spikes(3, 2, 4)
+        spikes[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            vio.write_spike_bundle(tmp_path / "spk", spikes)
+        assert not (tmp_path / "spk").exists()
 
     def test_model_config_loads_stochvol_with_factor_csv(self, tmp_path):
         factors = np.linspace(-1, 1, 8).reshape(8, 1)

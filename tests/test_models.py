@@ -23,11 +23,13 @@ from viterbipar import (
     WindowedObjective,
     alpha_gamma_n,
     beta_m,
+    build_segment_plan,
     eta_bound,
     eval_U,
     finite_diff_grad,
     simulate,
     solve_map,
+    solve_parallel,
     stationary_covariance,
 )
 from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber_grad
@@ -35,12 +37,16 @@ from viterbipar.models.likelihoods import _softmax
 from viterbipar.errors import ShapeError, UnsupportedBoundError
 
 from conftest import (
+    ReferencePseudo,
     balanced_spikes,
+    exact_reference_kernels,
     gaussian_model_with_obs,
+    grad_log_g,
     grad_phi,
     grad_phi_tilde,
     huber_signal,
     lg_signal,
+    log_g_terms,
     neural_model,
     neural_pseudo_field,
     pseudo_fields,
@@ -55,7 +61,7 @@ def _phi_value(model, xs, n):
     """Interior local sum, assembled from the model's density pieces."""
     sig = model.signal
     val = sig.log_f_sum(xs[n - 1 : n + 2])  # both transitions touching block n
-    val += float(model.window(n, n).log_g_terms(xs[n : n + 1])[0])
+    val += float(log_g_terms(model.window(n, n), xs[n : n + 1])[0])
     return val
 
 
@@ -67,7 +73,7 @@ def _phi_tilde_value(model, xs, n):
             val += sig.log_f_sum(xs[0:2])
     else:
         val = sig.log_f_sum(xs[n - 1 : n + 1])
-    return val + float(model.window(n, n).log_g_terms(xs[n : n + 1])[0])
+    return val + float(log_g_terms(model.window(n, n), xs[n : n + 1])[0])
 
 
 def _fd_wrt_block(fn, xs, n, eps=1e-6):
@@ -439,6 +445,93 @@ class TestBatchedKernels:
             HuberNonlinearSignal(TanhDrift(0.4), np.zeros(3), 1.0, (1.0, 1.0, 0.4, 0.0))
 
 
+def _pseudo_per_bin(lik, xs, spikes):
+    """(fields, log_terms, grad) of a NeuralPseudo family, bin by bin."""
+    N, R = lik.N, lik.R
+    iu = np.triu_indices(N, k=1)
+    fields = np.empty(spikes.shape)
+    val = np.empty(xs.shape[0])
+    grad = np.empty(xs.shape)
+    for m in range(xs.shape[0]):
+        yc = spikes[m] - lik.rates_c
+        z = (yc @ _coupling_loop(xs[m], N)) / R
+        yz = spikes[m] * z
+        val[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
+        D = spikes[m] * (0.5 * (1.0 - np.tanh(0.5 * (spikes[m] * z))))
+        M = D.T @ yc
+        grad[m] = (M + M.T)[iu] / R
+        fields[m] = z
+    return fields, val, grad
+
+
+class TestPseudoKernels:
+    """The in-place NeuralPseudo kernels and the flat pair gathers against
+    per-bin loops and against kernels that rebuild their stacks per call
+    (conftest's ReferencePseudo and exact_reference_kernels), bit for bit."""
+
+    @pytest.mark.parametrize("N, R, T, scale", [
+        (2, 7, 30, 1.0), (3, 5, 25, 1.0), (10, 4, 12, 1.0),
+        (6, 1, 40, 1.0), (6, 1, 40, 400.0), (10, 1, 15, 50.0),
+        (6, 20, 1, 1.0), (2, 1, 1, 5.0),
+    ])
+    def test_matches_per_bin_loop_bit_for_bit(self, rng, N, R, T, scale):
+        spikes = random_spikes(N, R, T, seed=N + R + T)
+        lik = NeuralPseudo(N, R, spikes=spikes)
+        xs = scale * rng.standard_normal((T, lik.d))
+        xs[0, 0] = -0.0
+        fields, val, grad = _pseudo_per_bin(lik, xs, spikes)
+        np.testing.assert_array_equal(lik._fields(xs, spikes)[0], fields)
+        np.testing.assert_array_equal(lik.log_terms(xs, spikes), val)
+        np.testing.assert_array_equal(lik.grad(xs, spikes), grad)
+        reference = ReferencePseudo(N, R, spikes=spikes)
+        assert lik.log_terms(xs, spikes).tobytes() == reference.log_terms(xs, spikes).tobytes()
+        assert lik.grad(xs, spikes).tobytes() == reference.grad(xs, spikes).tobytes()
+
+    @pytest.mark.parametrize("N", [2, 3, 6, 10])
+    def test_coupling_matrix_bytes_match_loop_with_negative_zeros(self, rng, N):
+        xs = rng.standard_normal((6, N * (N - 1) // 2))
+        xs[:, ::2] = -0.0
+        xs[1] = -0.0
+        stack = coupling_matrix(xs, N)
+        want = np.stack([_coupling_loop(x, N) for x in xs])
+        assert stack.tobytes() == want.tobytes()
+        assert not np.any(np.signbit(stack[1]))
+        for m in range(xs.shape[0]):
+            assert coupling_matrix(xs[m], N).tobytes() == want[m].tobytes()
+        # matmul's last bits depend on the operands' layout
+        assert stack.flags.c_contiguous
+
+    @pytest.mark.parametrize("N, R, T", [(2, 1, 1), (3, 4, 20), (6, 20, 50), (10, 3, 30)])
+    def test_neural_exact_matches_reference_kernels_bit_for_bit(self, rng, N, R, T):
+        spikes = random_spikes(N, R, T, seed=N * R)
+        lik = NeuralExact(N, R, spikes=spikes)
+        xs = rng.standard_normal((T, lik.d))
+        want_val, want_grad = exact_reference_kernels(lik, xs, spikes)
+        np.testing.assert_array_equal(lik.log_terms(xs, spikes), want_val)
+        np.testing.assert_array_equal(lik.grad(xs, spikes), want_grad)
+
+    def test_solves_match_reference_kernels_bit_for_bit(self):
+        """solve_map and solve_parallel at 1 and 2 workers give the same
+        bytes with either family on a small spikes model."""
+        N, R, n = 6, 20, 79
+        signal = lg_signal(d=N * (N - 1) // 2, a=0.5, stationary=True)
+        skeleton = ModelSpec(signal, NeuralPseudo(N, R, rates_c=np.full(N, 0.5),
+                                                  spikes=np.zeros((n + 1, R, N))))
+        _, spikes = simulate(skeleton, n, 5)
+        models = [ModelSpec(signal, cls(N, R, spikes=spikes)) for cls in (NeuralPseudo, ReferencePseudo)]
+        assert type(models[1].window(20, 39).likelihood) is ReferencePseudo
+        config = SolverConfig(grad_tol=1e-6, max_iters=20000)
+        got, want = (solve_map(model, config) for model in models)
+        assert got.converged and got.iterations > 10
+        assert got.solution.blocks.tobytes() == want.solution.blocks.tobytes()
+        for field in ("iterations", "grad_evals", "value_evals", "objective_value", "final_grad_norm"):
+            assert getattr(got, field) == getattr(want, field), field
+        plan = build_segment_plan(n, 4, 10)
+        for workers in (1, 2):
+            got, want = (solve_parallel(model, plan, config, workers=workers) for model in models)
+            assert got.stitched.blocks.tobytes() == want.stitched.blocks.tobytes(), workers
+
+
 class TestScipyReferences:
     """The numpy kernels of the spiking families against scipy.special, at
     moderate fields and at fields far beyond exp's overflow point. Every
@@ -545,7 +638,7 @@ class TestModelSpecPrefix:
                 # the window's emission terms are the full model's rows a..b
                 xs = np.random.default_rng(a).standard_normal((model.horizon + 1, model.dim))
                 np.testing.assert_allclose(
-                    part.log_g_terms(xs[a : b + 1]), model.log_g_terms(xs)[a : b + 1], rtol=1e-14
+                    log_g_terms(part, xs[a : b + 1]), log_g_terms(model, xs)[a : b + 1], rtol=1e-14
                 )
 
     def test_prefix_slices_factor_series(self):
@@ -556,10 +649,10 @@ class TestModelSpecPrefix:
             np.testing.assert_array_equal(part.likelihood.factors, model.likelihood.factors[a : b + 1])
             # values of the sliced problem match the full one on rows a..b
             np.testing.assert_allclose(
-                part.log_g_terms(xs[a : b + 1]), model.log_g_terms(xs)[a : b + 1], rtol=1e-14
+                log_g_terms(part, xs[a : b + 1]), log_g_terms(model, xs)[a : b + 1], rtol=1e-14
             )
             np.testing.assert_allclose(
-                part.grad_log_g(xs[a : b + 1]), model.grad_log_g(xs)[a : b + 1], rtol=1e-14
+                grad_log_g(part, xs[a : b + 1]), grad_log_g(model, xs)[a : b + 1], rtol=1e-14
             )
 
     def test_prefix_beyond_horizon_rejected(self, rng):

@@ -19,8 +19,10 @@ from viterbipar.errors import ShapeError, UnsupportedModeError
 
 from conftest import (
     gaussian_model_with_obs,
+    grad_log_g,
     huber_signal,
     lg_signal,
+    log_g_terms,
     neural_model,
     stochvol_model,
     student_model,
@@ -66,7 +68,7 @@ def _family_model(family, n, rng):
 
 def _model_assembly(model, window, mode, xs):
     """(value, gradient) of a window from the window model's log_g_terms and
-    grad_log_g, the signal's transition terms and the start term."""
+    grad_log_g (conftest), the signal's transition terms and the start term."""
     a, b = window
     sub = model.window(a, b)
     sig = sub.signal
@@ -81,10 +83,10 @@ def _model_assembly(model, window, mode, xs):
     else:
         start_value, start_grad = 0.0, np.zeros(model.dim)
     value = start_value + sig.log_f_sum(xs)
-    value += float(np.sum(sub.log_g_terms(xs)))
+    value += float(np.sum(log_g_terms(sub, xs)))
     G = sig.grad_log_transitions(xs)
     G[0] += start_grad
-    G += sub.grad_log_g(xs)
+    G += grad_log_g(sub, xs)
     return -value, -G
 
 
