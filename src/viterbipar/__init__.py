@@ -11,7 +11,6 @@ from .core import (
     PathVector,
     GammaWeight,
     SegmentPlan,
-    gamma_norm,
     build_segment_plan,
 )
 from .models import (
@@ -64,7 +63,6 @@ __all__ = [
     "PathVector",
     "GammaWeight",
     "SegmentPlan",
-    "gamma_norm",
     "build_segment_plan",
     "LinearGaussianSignal",
     "HuberNonlinearSignal",

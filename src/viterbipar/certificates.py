@@ -268,20 +268,18 @@ def eta_bound(model: ModelSpec, index_n: int, radius_r: float, w: GammaWeight) -
         raise ValueError(f"radius must be nonnegative, got {r}")
     n = int(index_n)
     model.require_horizon(n)
-    return _eta(model, n, r, w)
+    return _eta(model, n, r, w, _beta_array(model, n))
 
 
-def _eta(model: ModelSpec, n: int, r: float, w: GammaWeight, beta: np.ndarray | None = None) -> float:
-    """:func:`eta_bound` at a checked (n, r). A caller that has built the
-    beta array through n passes it; otherwise beta_n is computed here."""
+def _eta(model: ModelSpec, n: int, r: float, w: GammaWeight, beta: np.ndarray) -> float:
+    """:func:`eta_bound` at a checked (n, r), reading beta_n from ``beta``."""
     if isinstance(model.likelihood, StochVolFactor) and isinstance(model.signal, LinearGaussianSignal):
         return _eta_bound_stoch_vol(model, n, r, w)
     if model.chi is None:
         raise UnsupportedBoundError(
             "no eta bound available: model.chi is unset and no specialized bound applies"
         )
-    beta_n = beta_m(model, n) if beta is None else float(beta[n])
-    return beta_n + model.chi * r / w.gamma
+    return float(beta[n]) + model.chi * r / w.gamma
 
 
 def _eta_bound_stoch_vol(model: ModelSpec, n: int, r: float, w: GammaWeight) -> float:
@@ -365,19 +363,10 @@ def viterbi_distance_bound_chi(
     model: ModelSpec, cert: DecayConvexityCertificate, n: int, tail_horizon: int
 ) -> float:
     """Same distance as :func:`viterbi_distance_bound_eta` via the
-    quadratic-growth constant chi: (gamma^(n-1) alpha 2 chi / lambda^2 +
-    discounted beta tail from n) / lambda^2, tail truncated."""
-    gamma, lam = _require_chosen(cert)
-    if model.chi is None:
-        raise CertificationError("chi-based bound needs model.chi")
-    if n < 0 or tail_horizon < n:
-        raise ValueError("n must be nonnegative and tail_horizon at least n")
-    model.require_horizon(tail_horizon)
-    beta = _beta_array(model, tail_horizon)
-    alpha = _alpha(beta, gamma, n)
-    lam2 = lam * lam
-    lead = gamma ** (n - 1) * alpha * 2.0 * model.chi / lam2
-    return (lead + _beta_tail(beta, gamma, n)) / lam2
+    quadratic-growth constant chi: the segment bound of
+    :func:`segment_overlap_error_bound` with Delta = 0 and delta = n,
+    tail truncated at ``tail_horizon``."""
+    return segment_overlap_error_bound(model, cert, 0, n, tail_horizon)
 
 
 def segment_overlap_error_bound(
@@ -405,7 +394,7 @@ def segment_overlap_error_bound(
     beta = _beta_array(model, Delta + tail_horizon)
     alpha = _alpha(beta, gamma, Delta + delta)
     lam2 = lam * lam
-    lead = gamma ** (delta - 1) * 2.0 * model.chi * alpha / lam2
+    lead = gamma ** (delta - 1) * alpha * 2.0 * model.chi / lam2
     return (lead + _beta_tail(beta, gamma, delta, offset=Delta)) / lam2
 
 

@@ -98,16 +98,6 @@ def _load_model(model_path, obs_path) -> ModelSpec:
     return ModelSpec(model.signal, model.likelihood, observations=ys, chi=model.chi)
 
 
-def _solver_config(step_mode, step_size, max_iters, grad_tol, gamma) -> SolverConfig:
-    return SolverConfig(
-        step_mode=step_mode,
-        step_size=step_size,
-        max_iters=max_iters,
-        grad_tol=grad_tol,
-        gamma=GammaWeight(gamma),
-    )
-
-
 def _certify_model(model: ModelSpec, lambda_g: float):
     if isinstance(model.signal, LinearGaussianSignal):
         return certify_linear_gaussian(model.signal, lambda_g=lambda_g)
@@ -117,12 +107,21 @@ def _certify_model(model: ModelSpec, lambda_g: float):
 
 
 def solver_options(fn):
-    fn = click.option("--step-mode", type=click.Choice(["fixed", "backtracking"]), default="backtracking", show_default=True)(fn)
-    fn = click.option("--step-size", type=float, default=1.0, show_default=True, help="fixed step, or initial trial step when backtracking")(fn)
-    fn = click.option("--max-iters", type=int, default=20000, show_default=True)(fn)
-    fn = click.option("--grad-tol", type=float, default=None, help="stop when the discounted gradient norm falls below this")(fn)
-    fn = click.option("--gamma", type=float, default=1.0, show_default=True, help="discount used by the stopping norm")(fn)
-    return fn
+    """The five solver flags, handed to the command as one ``config``.
+    Commands list ``handle_errors`` above it, so an invalid value exits 2."""
+
+    @functools.wraps(fn)
+    def wrapper(*args, step_mode, step_size, max_iters, grad_tol, gamma, **kwargs):
+        config = SolverConfig(step_mode=step_mode, step_size=step_size, max_iters=max_iters,
+                              grad_tol=grad_tol, gamma=GammaWeight(gamma))
+        return fn(*args, config=config, **kwargs)
+
+    wrapper = click.option("--step-mode", type=click.Choice(["fixed", "backtracking"]), default="backtracking", show_default=True)(wrapper)
+    wrapper = click.option("--step-size", type=float, default=1.0, show_default=True, help="fixed step, or initial trial step when backtracking")(wrapper)
+    wrapper = click.option("--max-iters", type=int, default=20000, show_default=True)(wrapper)
+    wrapper = click.option("--grad-tol", type=float, default=None, help="stop when the discounted gradient norm falls below this")(wrapper)
+    wrapper = click.option("--gamma", type=float, default=1.0, show_default=True, help="discount used by the stopping norm")(wrapper)
+    return wrapper
 
 
 workers_option = click.option(
@@ -174,12 +173,11 @@ def simulate_cmd(model_path, horizon, seed, out_dir):
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--obs", "obs_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@solver_options
 @handle_errors
-def solve_cmd(model_path, obs_path, out_dir, step_mode, step_size, max_iters, grad_tol, gamma):
+@solver_options
+def solve_cmd(model_path, obs_path, out_dir, config):
     """Solve the full-path MAP problem."""
     model = _load_model(model_path, obs_path)
-    config = _solver_config(step_mode, step_size, max_iters, grad_tol, gamma)
     report = solve_map(model, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,13 +200,11 @@ def solve_cmd(model_path, obs_path, out_dir, step_mode, step_size, max_iters, gr
               help="start term of the windows that begin after index 0 (the first window always "
                    "carries the initial density); default marginal-prior when the signal has "
                    "closed-form marginals, else flat-start")
-@solver_options
 @handle_errors
-def solve_par_cmd(model_path, obs_path, out_dir, num_segments, delta, workers, boundary_mode,
-                  step_mode, step_size, max_iters, grad_tol, gamma):
+@solver_options
+def solve_par_cmd(model_path, obs_path, out_dir, num_segments, delta, workers, boundary_mode, config):
     """Solve the overlapped segments in parallel and stitch."""
     model = _load_model(model_path, obs_path)
-    config = _solver_config(step_mode, step_size, max_iters, grad_tol, gamma)
     plan = build_segment_plan(model.horizon, num_segments, delta)
     report = solve_parallel(model, plan, config, workers=workers, boundary_mode=boundary_mode)
     out = Path(out_dir)
@@ -287,17 +283,15 @@ def certify_cmd(model_path, obs_path, lambda_g, gamma, lam):
 @click.option("--deltas", required=True, help="comma-separated nonnegative overlaps, ascending")
 @workers_option
 @click.option("--lambda-g", type=float, default=0.0, show_default=True)
-@solver_options
 @handle_errors
-def sweep_cmd(model_path, obs_path, out_csv, num_segments, deltas, workers, lambda_g,
-              step_mode, step_size, max_iters, grad_tol, gamma):
+@solver_options
+def sweep_cmd(model_path, obs_path, out_csv, num_segments, deltas, workers, lambda_g, config):
     """Overlap sweep: error/cost table, one row per delta."""
     model = _load_model(model_path, obs_path)
     try:
         delta_list = [int(v) for v in deltas.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"bad --deltas list: {exc}") from exc
-    config = _solver_config(step_mode, step_size, max_iters, grad_tol, gamma)
     rows, reference, mode = sweep_delta(
         model, num_segments, delta_list, config, workers=workers
     )

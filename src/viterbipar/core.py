@@ -19,7 +19,6 @@ __all__ = [
     "GammaWeight",
     "SegmentPlan",
     "gamma_weights",
-    "gamma_norm",
     "build_segment_plan",
 ]
 
@@ -43,18 +42,6 @@ class PathVector:
         if not np.all(np.isfinite(arr)):
             raise ShapeError("path contains non-finite entries")
         object.__setattr__(self, "blocks", arr)
-
-    @property
-    def horizon_n(self) -> int:
-        return self.blocks.shape[0] - 1
-
-    @property
-    def dim_d(self) -> int:
-        return self.blocks.shape[1]
-
-    @classmethod
-    def zeros(cls, horizon_n: int, dim_d: int) -> "PathVector":
-        return cls(np.zeros((horizon_n + 1, dim_d)))
 
 
 @dataclass(frozen=True)
@@ -87,11 +74,6 @@ def gamma_weights(n_blocks: int, gamma: float) -> np.ndarray:
 def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
     """sqrt(sum_m weights[m] |blocks[m]|^2)."""
     return math.sqrt(float(np.einsum("md,md->m", blocks, blocks) @ weights))
-
-
-def gamma_norm(x: PathVector, w: GammaWeight) -> float:
-    """Discounted norm sqrt(sum_m gamma^m |x_m|^2)."""
-    return _weighted_norm(x.blocks, gamma_weights(x.blocks.shape[0], w.gamma))
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,8 @@ __all__ = [
     "write_table_csv",
     "read_table_csv",
     "write_path_csv",
-    "read_path_csv",
     "write_observations_csv",
     "read_observations_csv",
-    "write_factors_csv",
     "read_factors_csv",
     "write_spike_bundle",
     "read_spike_bundle",
@@ -76,20 +74,12 @@ def write_path_csv(path, blocks):
     write_table_csv(path, blocks, "x")
 
 
-def read_path_csv(path) -> np.ndarray:
-    return read_table_csv(path, "x")
-
-
 def write_observations_csv(path, ys):
     write_table_csv(path, ys, "y")
 
 
 def read_observations_csv(path) -> np.ndarray:
     return read_table_csv(path, "y")
-
-
-def write_factors_csv(path, zs):
-    write_table_csv(path, zs, "z")
 
 
 def read_factors_csv(path) -> np.ndarray:
@@ -176,18 +166,27 @@ def _num(cfg, key, ctx, default=None):
     if key not in cfg and default is None:
         raise ConfigError(f"{ctx}: missing field {key!r}")
     try:
-        return float(cfg.get(key, default))
+        value = float(cfg.get(key, default))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: field {key!r} is not a number") from exc
+    return _finite(value, key, ctx)
 
 
 def _arr(cfg, key, ctx):
     try:
-        return np.asarray(cfg[key], dtype=float)
+        arr = np.asarray(cfg[key], dtype=float)
     except KeyError as exc:
         raise ConfigError(f"{ctx}: missing field {key!r}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{ctx}: field {key!r} is not numeric") from exc
+    return _finite(arr, key, ctx)
+
+
+def _finite(value, key, ctx):
+    """``value`` when every entry is finite; JSON's NaN and Infinity are not."""
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{ctx}: field {key!r} is not finite")
+    return value
 
 
 def _build_signal(cfg, base_dir):

@@ -345,14 +345,6 @@ class NeuralExact(_NeuralBase):
         super().__init__(N, R, rates_c=rates_c, spikes=spikes)
         self._pairs = _config_pairs(self.N, self.rates_c)
 
-    def log_normalizer(self, x_n) -> float:
-        return float(self._log_normalizers(np.asarray(x_n, dtype=float)[None])[0])
-
-    def normalizer_grad(self, x_n) -> np.ndarray:
-        """Gradient of the log normalizer: the centered pair-product mean
-        under the configuration distribution."""
-        return self._normalizer_grads(np.asarray(x_n, dtype=float)[None])[0]
-
     def _log_normalizers(self, xs):
         out = np.empty(xs.shape[0])
         for sl in _chunks(xs.shape[0], self._pairs.shape[0]):
@@ -360,6 +352,7 @@ class NeuralExact(_NeuralBase):
         return out
 
     def _normalizer_grads(self, xs):
+        """Centered pair-product means under each configuration distribution."""
         out = np.empty_like(xs)
         for sl in _chunks(xs.shape[0], self._pairs.shape[0]):
             out[sl] = _softmax(xs[sl] @ self._pairs.T)[0] @ self._pairs

@@ -321,7 +321,8 @@ class HuberNonlinearSignal:
 
     ``drift_map`` is called on a point or an (m, d) stack of points, and
     gives the vector-Jacobian products ``vjp(xs, v)`` of a stack (see
-    ``LinearDrift`` and ``TanhDrift``); nothing else of it is used.
+    ``LinearDrift`` and ``TanhDrift``); nothing else of it is used. The
+    length of the offset ``b`` is the state dimension.
     ``lipschitz_bounds`` is (L_psi, L_grad_psi, L_A, L_grad_A): a bound on
     the noise-penalty gradient norm, its Lipschitz constant, the drift
     Jacobian operator norm and the Jacobian's Lipschitz constant. The
@@ -332,13 +333,9 @@ class HuberNonlinearSignal:
     b: np.ndarray
     huber_c: float
     lipschitz_bounds: tuple[float, float, float, float]
-    dim_d: int = 0
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float).reshape(-1)
-        if self.dim_d == 0:
-            self.dim_d = self.b.shape[0]
-        self.b = np.broadcast_to(self.b, (self.dim_d,)).copy()
+        self.b = np.array(self.b, dtype=float).reshape(-1)
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         c = float(self.huber_c)
         if c <= 0:
@@ -347,7 +344,7 @@ class HuberNonlinearSignal:
         self.lipschitz_bounds = tuple(float(v) for v in self.lipschitz_bounds)
         if any(v < 0 or not math.isfinite(v) for v in self.lipschitz_bounds):
             raise ValueError("Lipschitz bounds must be finite and nonnegative")
-        self._log_z = self.dim_d * math.log(sum(_huber_masses(c)))  # log partition
+        self._log_z = self.dim * math.log(sum(_huber_masses(c)))  # log partition
         self._spot_check_bounds()
 
     def _spot_check_bounds(self, points: int = 16, tol: float = 1e-8):
@@ -358,10 +355,10 @@ class HuberNonlinearSignal:
                 f"L_grad_psi >= 1/c = {1.0 / self.huber_c:g}"
             )
         rng = np.random.default_rng(0)
-        xs = rng.standard_normal((points, self.dim_d)) * 3.0
+        xs = rng.standard_normal((points, self.dim)) * 3.0
         # the rows e_i' J(x) of the identity's products are the rows of J(x)
-        eye = np.eye(self.dim_d)
-        jacs = [self.drift_map.vjp(np.repeat(x[None], self.dim_d, 0), eye) for x in xs]
+        eye = np.eye(self.dim)
+        jacs = [self.drift_map.vjp(np.repeat(x[None], self.dim, 0), eye) for x in xs]
         for J in jacs:
             if np.linalg.norm(J, 2) > L_A + tol:
                 raise ValueError("drift Jacobian exceeds the declared L_A at a sampled point")
@@ -373,7 +370,7 @@ class HuberNonlinearSignal:
 
     @property
     def dim(self) -> int:
-        return self.dim_d
+        return self.b.shape[0]
 
     def _drift(self, xs: np.ndarray) -> np.ndarray:
         out = self.drift_map(xs)
@@ -411,7 +408,7 @@ class HuberNonlinearSignal:
         raise UnsupportedModeError("Huber-noise signals have no closed-form marginals")
 
     def sample_path(self, horizon_n: int, rng: np.random.Generator) -> np.ndarray:
-        d = self.dim_d
+        d = self.dim
         w = _sample_huber_noise(self.huber_c, (horizon_n + 1) * d, rng).reshape(horizon_n + 1, d)
         xs = np.empty_like(w)
         xs[0] = w[0]

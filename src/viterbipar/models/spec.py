@@ -91,6 +91,8 @@ class ModelSpec:
             lik = self.likelihood
             if isinstance(lik, _NEURAL) and obs.shape[0] > lik.n_times:
                 raise ShapeError("observations extend beyond the family's spike storage")
+            if isinstance(lik, StochVolFactor) and obs.shape[0] > lik.factors.shape[0]:
+                raise ShapeError(f"{obs.shape[0]} observations, only {lik.factors.shape[0]} factor rows")
             # per index: R x N spikes, p values for the Gaussian emission, d otherwise
             per_index = (lik.R, lik.N) if isinstance(lik, _NEURAL) else (
                 lik.obs_dim if isinstance(lik, GaussianEmission) else d,)

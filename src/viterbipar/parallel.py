@@ -157,18 +157,18 @@ def sweep_delta(
     deltas: list[int],
     config: SolverConfig,
     workers: int = 1,
-    boundary_mode: str | None = None,
 ) -> tuple[list[SweepRow], SolveReport, str]:
     """Overlap sweep: one row per delta, errors against the full solve.
 
     The reference is the single-segment, zero-overlap solve under the
     identical solver configuration; speedup is its wall clock over each
     parallel wall clock. One process pool serves every delta, so the
-    first row's wall clock includes the pool's start-up. Returns (rows,
-    reference report, boundary mode used by the segment solves). A
-    reference that is the zero path, as all-zero observations of a
-    zero-mean chain give, leaves every relative error undefined and
-    raises ValueError before any segment solve.
+    first row's wall clock includes the pool's start-up. The segment
+    solves use :func:`default_boundary_mode`. Returns (rows, reference
+    report, boundary mode). A reference that is the zero path, as
+    all-zero observations of a zero-mean chain give, leaves every
+    relative error undefined and raises ValueError before any segment
+    solve.
     """
     if sorted(deltas) != list(deltas) or any(d < 0 for d in deltas):
         raise ValueError("deltas must be nonnegative and sorted ascending")
@@ -178,7 +178,7 @@ def sweep_delta(
             "the full solve is the zero path (all-zero observations?); "
             "errors relative to it are undefined"
         )
-    mode = boundary_mode or default_boundary_mode(model)
+    mode = default_boundary_mode(model)
     # every window is built before the pool starts
     runs = []
     for delta in deltas:

@@ -51,12 +51,12 @@ class SolverConfig:
     def __post_init__(self):
         if self.step_mode not in ("fixed", "backtracking"):
             raise ValueError(f"step_mode must be 'fixed' or 'backtracking', got {self.step_mode!r}")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.grad_tol is not None and self.grad_tol < 0:
-            raise ValueError("grad_tol must be nonnegative")
+        if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
+            raise ValueError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
 
     def resolved_tol(self, n_blocks: int) -> float:
         if self.grad_tol is not None:
@@ -107,6 +107,7 @@ class SolveReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     """Shared descent loop for full and windowed objectives.
 
@@ -115,6 +116,8 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     At gamma = 1 the discounted norm is the plain 2-norm: one BLAS dot
     product of the gradient with itself, whose value also serves the
     backtracking tests. Other gammas weight each block's squared norm.
+    The loop tests trial values and gradients for non-finite entries
+    itself, so numpy's overflow and invalid-value warnings are silenced.
     """
     t_start = time.perf_counter()
     x = np.array(init, dtype=float)

@@ -32,6 +32,11 @@ def gamma_inner(x, y, w):
     return float(per_block @ gamma_weights(per_block.shape[0], w.gamma))
 
 
+def gamma_norm(x, w):
+    """Discounted norm sqrt(sum_m gamma^m |x_m|^2) of a path."""
+    return math.sqrt(gamma_inner(x, x, w))
+
+
 def weighted_norm_at(x, center_n, w):
     """Norm of a path with weights gamma^|m - center_n|, truncated at its
     horizon; ``center_n = 0`` gives ``gamma_norm``."""
@@ -115,6 +120,17 @@ class ReferencePseudo(NeuralPseudo):
         D = ys * (0.5 * (1.0 - np.tanh(0.5 * (ys * z))))
         M = np.matmul(np.swapaxes(D, 1, 2), yc)
         return flat_upper(M + np.swapaxes(M, 1, 2)) / self.R
+
+
+def log_normalizer(lik, x_n):
+    """Log normalizer of a NeuralExact family at one coupling vector."""
+    return float(lik._log_normalizers(np.asarray(x_n, dtype=float)[None])[0])
+
+
+def normalizer_grad(lik, x_n):
+    """Gradient of a NeuralExact log normalizer at one coupling vector: the
+    centered pair-product mean under the configuration distribution."""
+    return lik._normalizer_grads(np.asarray(x_n, dtype=float)[None])[0]
 
 
 def exact_reference_kernels(lik, xs, ys):

@@ -224,16 +224,19 @@ class TestOneBetaPass:
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_chi_route(self):
+        self.test_chi_route_ranges(12, 40)
+
+    @pytest.mark.parametrize("n, tail", [(0, 40), (3, 40), (12, 12), (20, 30)])
+    def test_chi_route_ranges(self, n, tail):
         model = gaussian_model(d=2, n=40, seed=3)
         cert = certify_linear_gaussian(model.signal)
         gamma, lam2 = cert.chosen_gamma, cert.chosen_lambda ** 2
-        n = 12
         alpha = alpha_gamma_n(model, GammaWeight(gamma), n)
         lead = gamma ** (n - 1) * alpha * 2.0 * model.chi / lam2
-        want = (lead + sum(gamma ** k * beta_m(model, k) for k in range(n, 41))) / lam2
+        want = (lead + sum(gamma ** k * beta_m(model, k) for k in range(n, tail + 1))) / lam2
         calls = self._counted(model)
-        got = viterbi_distance_bound_chi(model, cert, n, 40)
-        assert calls == [41]
+        got = viterbi_distance_bound_chi(model, cert, n, tail)
+        assert calls == [tail + 1]
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_segment_bound(self):

@@ -9,11 +9,10 @@ from viterbipar import (
     GammaWeight,
     PathVector,
     build_segment_plan,
-    gamma_norm,
 )
 from viterbipar.errors import PlanError, ShapeError
 
-from conftest import gamma_inner, weighted_norm_at
+from conftest import gamma_inner, gamma_norm, weighted_norm_at
 
 
 def pv(*rows):
@@ -27,7 +26,7 @@ class TestGammaInner:
 
     def test_zero_vector(self):
         x = pv([2.0], [-3.0], [0.5])
-        z = PathVector.zeros(2, 1)
+        z = PathVector(np.zeros((3, 1)))
         assert gamma_inner(x, z, GammaWeight(0.7)) == 0.0
 
     def test_hand_evaluated_block_sum(self):
@@ -83,7 +82,7 @@ class TestWeightedNormAt:
         assert weighted_norm_at(x, 0, w) == pytest.approx(gamma_norm(x, w), rel=1e-14)
 
     def test_zero_path(self):
-        assert weighted_norm_at(PathVector.zeros(5, 2), 3, GammaWeight(0.5)) == 0.0
+        assert weighted_norm_at(PathVector(np.zeros((6, 2))), 3, GammaWeight(0.5)) == 0.0
 
     def test_negative_center_rejected(self):
         with pytest.raises(ValueError):

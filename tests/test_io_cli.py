@@ -3,12 +3,15 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import viterbipar
 from viterbipar import ModelSpec, PathVector
 from viterbipar import io as vio
 from viterbipar.cli import main
@@ -44,6 +47,25 @@ def write_lg_config(path, a=0.5, sigma_sq=1.0, d=1, chi=None, sigma0="unit"):
     return path
 
 
+def _run_cli(args, timeout=60):
+    """The CLI in a fresh interpreter, killed after ``timeout`` seconds, so
+    that a loop that never ends fails the test and numpy warnings reach
+    the captured stderr."""
+    src = str(Path(viterbipar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "viterbipar.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _simulated_solve_args(runner, tmp_path):
+    """Simulate a conjugate model at n=20 and return ``solve`` arguments for it."""
+    cfg = write_lg_config(tmp_path / "m.json")
+    sim = tmp_path / "sim"
+    runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "20", "--seed", "8", "--out", str(sim)])
+    return ["solve", "--model", str(cfg), "--obs", str(sim / "observations.csv"),
+            "--out", str(tmp_path / "x")]
+
+
 def _two_segment_args(runner, tmp_path, command):
     """Simulate a conjugate model at n=23 and return the solve-par or sweep
     arguments that solve it in two segments."""
@@ -61,13 +83,13 @@ class TestTables:
         arr = rng.standard_normal((17, 3)) * np.exp(rng.standard_normal((17, 3)) * 8)
         f = tmp_path / "p.csv"
         vio.write_path_csv(f, arr)
-        back = vio.read_path_csv(f)
+        back = vio.read_table_csv(f, "x")
         assert np.array_equal(arr, back)
         assert f.read_text().splitlines()[0] == "t,x0,x1,x2"
 
     def test_observation_and_factor_headers(self, tmp_path):
         vio.write_observations_csv(tmp_path / "y.csv", np.zeros((2, 2)))
-        vio.write_factors_csv(tmp_path / "z.csv", np.zeros((2, 1)))
+        vio.write_table_csv(tmp_path / "z.csv", np.zeros((2, 1)), "z")
         assert (tmp_path / "y.csv").read_text().splitlines()[0] == "t,y0,y1"
         assert (tmp_path / "z.csv").read_text().splitlines()[0] == "t,z0"
         with pytest.raises(Exception):
@@ -105,7 +127,7 @@ class TestTables:
 
     def test_model_config_loads_stochvol_with_factor_csv(self, tmp_path):
         factors = np.linspace(-1, 1, 8).reshape(8, 1)
-        vio.write_factors_csv(tmp_path / "z.csv", factors)
+        vio.write_table_csv(tmp_path / "z.csv", factors, "z")
         cfg = {
             "signal": {
                 "type": "linear_gaussian",
@@ -158,7 +180,7 @@ class TestCli:
         assert report["converged"] is True
         assert report["grad_evals"] == report["iterations"] + 1
         assert report["value_evals"] >= 2
-        sol = vio.read_path_csv(out / "solution.csv")
+        sol = vio.read_table_csv(out / "solution.csv", "x")
         assert sol.shape == (51, 1)
 
     def test_max_iters_stop_reported_not_converged(self, runner, tmp_path):
@@ -411,6 +433,31 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("configuration error:")
         assert repr(field) in lines[0]
 
+    @pytest.mark.parametrize("where, field, value", [
+        ("signal", "A", [[float("nan")]]),
+        ("signal", "b", [float("inf")]),
+        ("signal", "Sigma", [[float("-inf")]]),
+        ("signal", "huber_c", float("inf")),
+        (None, "chi", float("nan")),
+    ])
+    def test_non_finite_model_json_exits_2(self, runner, tmp_path, where, field, value):
+        # json.load reads NaN and Infinity; each is named as a configuration error
+        if field == "huber_c":
+            cfg = {"signal": {"type": "huber", "drift_map": {"kind": "tanh", "scale": 0.1}, "b": [0.0],
+                              "lipschitz_bounds": {"L_psi": 1.0, "L_grad_psi": 1.0, "L_A": 0.1,
+                                                   "L_grad_A": 0.1}},
+                   "likelihood": {"type": "student_t"}}
+        else:
+            cfg = json.loads(write_lg_config(tmp_path / "m.json").read_text())
+        (cfg if where is None else cfg[where])[field] = value
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        for args in (["certify"], ["simulate", "--n", "5", "--out", str(tmp_path / "sim")]):
+            r = runner.invoke(main, args + ["--model", str(tmp_path / "m.json")])
+            assert r.exit_code == 2, r.output
+            lines = r.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("configuration error:")
+            assert f"{field!r} is not finite" in lines[0]
+
     @pytest.mark.parametrize("files", [5, [1, 2]])
     def test_malformed_spike_manifest_exits_2(self, runner, tmp_path, files):
         manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(3, 2, 6, seed=1))
@@ -509,6 +556,36 @@ class TestCli:
                                      "--step-size", "100.0", "--max-iters", "300", "--grad-tol", "0"])
         assert r.exit_code == 4
 
+    @pytest.mark.parametrize("flag, value", [("--step-size", "inf"), ("--grad-tol", "nan"),
+                                             ("--grad-tol", "inf")])
+    def test_non_finite_step_or_tolerance_exits_2(self, runner, tmp_path, flag, value):
+        # an infinite trial step halves to itself, so the line search never ends
+        r = _run_cli(_simulated_solve_args(runner, tmp_path) + [flag, value])
+        assert r.returncode == 2, r.stderr
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert flag[2:].replace("-", "_") in lines[0]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "solve-par", "sweep"])
+    def test_invalid_solver_flag_exits_2_in_every_command(self, runner, tmp_path, command):
+        args = (_simulated_solve_args(runner, tmp_path) if command == "solve"
+                else _two_segment_args(runner, tmp_path, command))
+        r = runner.invoke(main, args + ["--max-iters", "0"])
+        assert r.exit_code == 2, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert r.stderr.strip().splitlines() == ["configuration error: max_iters must be at least 1"]
+
+    @pytest.mark.parametrize("mode, want", [
+        ("fixed", ["solver divergence: gradient became non-finite at iteration 2 (step too large?)"]),
+        ("backtracking", []),
+    ])
+    def test_descent_prints_no_numpy_warnings(self, runner, tmp_path, mode, want):
+        r = _run_cli(_simulated_solve_args(runner, tmp_path)
+                     + ["--step-mode", mode, "--step-size", "1e300"])
+        assert r.returncode == (4 if want else 0), r.stderr
+        assert r.stderr.splitlines() == want
+
     def test_stochvol_simulate_solve_verify(self, runner, tmp_path):
         factors = np.sin(np.linspace(0, 3, 16))[:, None].tolist()
         cfg = {
@@ -556,7 +633,7 @@ class TestCli:
         r = runner.invoke(main, ["solve", "--model", str(tmp_path / "m.json"), "--out", str(out),
                                  "--grad-tol", "1e-9"])
         assert r.exit_code == 0, r.output
-        sol = vio.read_path_csv(out / "solution.csv")
+        sol = vio.read_table_csv(out / "solution.csv", "x")
         assert sol.shape == (13, 3)
 
         sim = tmp_path / "nsim"

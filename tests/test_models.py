@@ -19,6 +19,7 @@ from viterbipar import (
     NeuralPseudo,
     PathVector,
     SolverConfig,
+    StochVolFactor,
     StudentTEmission,
     WindowedObjective,
     alpha_gamma_n,
@@ -47,7 +48,9 @@ from conftest import (
     huber_signal,
     lg_signal,
     log_g_terms,
+    log_normalizer,
     neural_model,
+    normalizer_grad,
     neural_pseudo_field,
     pseudo_fields,
     random_spikes,
@@ -571,8 +574,8 @@ class TestScipyReferences:
         E = np.stack([0.5 * np.einsum("ci,ci->c", Ec @ _coupling_loop(x, N), Ec) for x in xs])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            log_z = np.array([lik.log_normalizer(x) for x in xs])
-            grads = np.stack([lik.normalizer_grad(x) for x in xs])
+            log_z = np.array([log_normalizer(lik, x) for x in xs])
+            grads = np.stack([normalizer_grad(lik, x) for x in xs])
         iu = np.triu_indices(N, k=1)
         want_grads = np.stack([(Ec.T @ (p[:, None] * Ec))[iu] for p in softmax(E, axis=1)])
         np.testing.assert_allclose(log_z, logsumexp(E, axis=1), rtol=1e-13, atol=1e-13)
@@ -688,6 +691,18 @@ class TestObservationShape:
         assert model.observations.shape == (6, 2, 3)
         with pytest.raises(ShapeError, match="NeuralPseudo"):
             ModelSpec(model.signal, model.likelihood, observations=np.ones((6, 3, 2)))
+
+    def test_stoch_vol_factors_must_cover_the_observations(self):
+        # 5 factor rows for 11 observations: eta_bound and the solves would
+        # otherwise fail later, at the first index past the factors
+        model = stochvol_model(d=2, n=10)
+        short = StochVolFactor(model.likelihood.B, model.likelihood.factors[:5])
+        with pytest.raises(ShapeError, match="only 5 factor rows"):
+            ModelSpec(model.signal, short, observations=model.observations)
+        with pytest.raises(ShapeError, match="only 5 factor rows"):
+            ModelSpec(model.signal, short, observations=model.observations[:5]).with_observations(
+                model.observations)
+        assert ModelSpec(model.signal, short, observations=model.observations[:5]).horizon == 4
 
 
 class TestStationaryCovariance:

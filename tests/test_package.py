@@ -11,7 +11,20 @@ import pytest
 import viterbipar
 
 
-@pytest.mark.parametrize("module", ["viterbipar", "viterbipar.models"])
+@pytest.mark.parametrize("module", [
+    "viterbipar",
+    "viterbipar.core",
+    "viterbipar.objective",
+    "viterbipar.solver",
+    "viterbipar.parallel",
+    "viterbipar.certificates",
+    "viterbipar.oracles",
+    "viterbipar.io",
+    "viterbipar.models",
+    "viterbipar.models.signals",
+    "viterbipar.models.likelihoods",
+    "viterbipar.models.spec",
+])
 def test_all_names_resolve(module):
     # ``from module import *`` fails on a listed name the module lacks
     mod = importlib.import_module(module)

@@ -13,7 +13,6 @@ from viterbipar import (
     certify_linear_gaussian,
     estimate_grad_lipschitz,
     eval_U,
-    gamma_norm,
     grad_U,
     rts_smoother,
     solve_map,
@@ -23,7 +22,7 @@ from viterbipar.errors import DivergenceError
 from viterbipar.objective import FullObjective
 from viterbipar.core import gamma_weights
 
-from conftest import gaussian_model_with_obs
+from conftest import gamma_norm, gaussian_model_with_obs
 
 
 class TestSolveMap:
@@ -172,6 +171,16 @@ class CountingObjective:
     def value(self, xs):
         self.value_evals += 1
         return self.inner.value(xs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("step_size", math.inf), ("step_size", math.nan), ("grad_tol", math.inf), ("grad_tol", math.nan),
+])
+def test_config_rejects_non_finite_step_and_tolerance(field, value):
+    # an infinite step halves to itself forever under backtracking, and a
+    # NaN tolerance is never met
+    with pytest.raises(ValueError, match=f"{field} must be .*finite"):
+        SolverConfig(**{field: value})
 
 
 class TestEvaluationCounts:
