@@ -2,13 +2,19 @@
 model configuration JSON, and report serialization.
 
 Floats are written with shortest-roundtrip decimal text so every CSV
-reads back bit-exactly.
+reads back bit-exactly. Tables are written a block of rows per call and
+spike trials one byte block per file, with the bytes ``csv.writer``
+writes (comma-separated, ``\\r\\n`` line ends); both are read with one
+``np.loadtxt`` parse per file. Every row must have as many fields as the
+header (or, in a trial file, as the manifest's ``N``); blank lines are
+skipped.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from io import BytesIO, StringIO
 from pathlib import Path
 
 import numpy as np
@@ -44,30 +50,72 @@ __all__ = [
 ]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+# rows formatted and written per call: bounds the text held at once, so
+# peak memory does not grow with the table; the bytes do not depend on it
+_ROWS_PER_WRITE = 256
+
+
+def _write_csv(path, header, lead, arr: np.ndarray):
+    """Write ``header`` and one row ``lead[i],arr[i, 0],...`` per row of the
+    float64 array ``arr``: the bytes ``csv.writer`` writes, floats in
+    shortest-roundtrip ``repr``, converted to Python floats a block of rows
+    at a time."""
+    sep = "," if arr.shape[1] else ""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, arr.shape[0], _ROWS_PER_WRITE):
+            hi = lo + _ROWS_PER_WRITE
+            fh.write("".join([f"{a}{sep}{','.join(map(repr, row))}\r\n"
+                              for a, row in zip(lead[lo:hi], arr[lo:hi].tolist())]))
 
 
 def write_table_csv(path, arr: np.ndarray, prefix: str):
     """Write a (T, k) array with header t,<prefix>0,...,<prefix>{k-1}."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"{prefix}{i}" for i in range(arr.shape[1])])
-        for t in range(arr.shape[0]):
-            writer.writerow([t] + [_fmt(v) for v in arr[t]])
+    _write_csv(path, ["t"] + [f"{prefix}{i}" for i in range(arr.shape[1])], range(arr.shape[0]), arr)
+
+
+def _parse_rows(path, body: bytes, width: int, skip: int = 0, first_line: int = 1) -> np.ndarray:
+    """The non-blank CSV rows of ``body`` as a C-contiguous float64 array of
+    their fields ``skip`` to ``width - 1``, parsed by ``np.loadtxt``, whose
+    C parser gives the same floats as ``float()``. A row with other than
+    ``width`` fields, a field that is not a number, or no row at all raises
+    ConfigError naming ``path`` (and the line, ``body`` starting at line
+    ``first_line`` of the file)."""
+    if not body or body.isspace():
+        raise ConfigError(f"{path}: no data rows")
+    try:
+        arr = np.loadtxt(BytesIO(body), delimiter=",", quotechar='"', comments=None,
+                         usecols=range(skip, width), ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {_bad_row(body, width, first_line) or exc}") from exc
+    # loadtxt ignores the fields past usecols; a row of ``width`` fields has
+    # width - 1 commas, and no number holds one
+    if body.count(b",") != arr.shape[0] * (width - 1):
+        raise ConfigError(f"{path}: {_bad_row(body, width, first_line)}")
+    return arr
+
+
+def _bad_row(body: bytes, width: int, first_line: int) -> str | None:
+    """Where the first non-blank row of ``body`` has other than ``width`` fields."""
+    reader = csv.reader(StringIO(body.decode(errors="replace")))
+    for row in reader:
+        if row and len(row) != width:
+            return f"line {reader.line_num + first_line - 1} has {len(row)} fields, expected {width}"
+    return None
 
 
 def read_table_csv(path, prefix: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    """Read a table written by ``write_table_csv`` as a C-contiguous float64
+    (T, k) array; the t column is not read."""
+    with open(path, "rb") as fh:
+        header = next(csv.reader([fh.readline().decode()]), [])
         if not header or header[0] != "t" or any(
             h != f"{prefix}{i}" for i, h in enumerate(header[1:])
         ):
             raise ConfigError(f"{path}: expected header t,{prefix}0,... got {header}")
-        rows = [[float(v) for v in row[1:]] for row in reader if row]
-    return np.asarray(rows, dtype=float)
+        body = fh.read()
+    return _parse_rows(path, body, len(header), skip=1, first_line=2)
 
 
 def write_path_csv(path, blocks):
@@ -83,7 +131,10 @@ def read_observations_csv(path) -> np.ndarray:
 
 
 def read_factors_csv(path) -> np.ndarray:
-    return read_table_csv(path, "z")
+    factors = read_table_csv(path, "z")
+    if not np.all(np.isfinite(factors)):
+        raise ConfigError(f"{path}: factor entries must be finite")
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +145,29 @@ def write_spike_bundle(directory, spikes: np.ndarray, bin_width: float = 0.01):
     """Write spikes (T, R, N) as trial_<k>.csv files plus manifest.json.
 
     Trial files are headerless 0/1 grids: rows are time bins, columns are
-    neurons. A non-finite entry raises ValueError before anything is
-    written.
+    neurons. A non-finite entry, or any entry other than 0 and 1, raises
+    ValueError before anything is written. Each trial is one byte block:
+    digits and commas, each row ending in ``\\r\\n``.
     """
     spikes = np.asarray(spikes)
     T, R, N = spikes.shape
     if not np.all(np.isfinite(spikes)):
         raise ValueError("spikes must be finite")
+    if not np.all((spikes == 0) | (spikes == 1)):
+        raise ValueError("spikes must be 0 or 1")
+    # row bytes: digit, comma, ..., digit, CR, LF (CR, LF alone when N = 0)
+    grid = np.full((R, T, max(2 * N + 1, 2)), ord(","), dtype=np.uint8)
+    digits = grid[:, :, 0:2 * N:2]
+    digits[...] = spikes.transpose(1, 0, 2)
+    digits += ord("0")
+    grid[:, :, -2:] = (ord("\r"), ord("\n"))
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     files = []
     for k in range(R):
         name = f"trial_{k}.csv"
         files.append(name)
-        with open(directory / name, "w", newline="") as fh:
-            csv.writer(fh).writerows(spikes[:, k].astype(np.int64).tolist())
+        (directory / name).write_bytes(grid[k].tobytes())
     manifest = {"N": N, "R": R, "bin_width": bin_width, "files": files}
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -119,7 +178,8 @@ def write_spike_bundle(directory, spikes: np.ndarray, bin_width: float = 0.01):
 def read_spike_bundle(manifest_path):
     """Load a spike bundle; returns (spikes (T,R,N), rates, bin_width).
 
-    Per-neuron rates are the empirical means over bins and trials.
+    Spikes are float64, one ``np.loadtxt`` parse per trial file. Per-neuron
+    rates are the empirical means over bins and trials.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path) as fh:
@@ -136,12 +196,12 @@ def read_spike_bundle(manifest_path):
         raise ConfigError(f"{manifest_path}: manifest lists {len(files)} files for R={R}")
     trials = []
     for name in files:
-        with open(manifest_path.parent / name, newline="") as fh:
-            grid = [[float(v) for v in row] for row in csv.reader(fh) if row]
-        trials.append(np.asarray(grid))
+        path = manifest_path.parent / name
+        trials.append(_parse_rows(path, path.read_bytes(), N))
+    counts = sorted({trial.shape[0] for trial in trials})
+    if len(counts) > 1:
+        raise ConfigError(f"{manifest_path}: trial files differ in row count: {counts}")
     spikes = np.stack(trials, axis=1)
-    if spikes.shape[2] != N:
-        raise ConfigError(f"{manifest_path}: trial files have {spikes.shape[2]} columns, N={N}")
     rates = spikes.mean(axis=(0, 1))
     return spikes, rates, bin_width
 
@@ -268,14 +328,9 @@ def load_model_config(path) -> ModelSpec:
 def write_sweep_csv(path, rows, bounds=None):
     """Sweep table: delta,rel_error,wall_clock_s,speedup plus an optional
     certified first-segment bound column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["delta", "rel_error", "wall_clock_s", "speedup"]
-        if bounds is not None:
-            header.append("segment_bound")
-        writer.writerow(header)
-        for i, row in enumerate(rows):
-            out = [row.delta, _fmt(row.rel_error), _fmt(row.wall_clock_s), _fmt(row.speedup)]
-            if bounds is not None:
-                out.append(_fmt(bounds[i]))
-            writer.writerow(out)
+    header = ["delta", "rel_error", "wall_clock_s", "speedup"]
+    cols = [[r.rel_error for r in rows], [r.wall_clock_s for r in rows], [r.speedup for r in rows]]
+    if bounds is not None:
+        header.append("segment_bound")
+        cols.append(bounds)
+    _write_csv(path, header, [r.delta for r in rows], np.array(cols, dtype=float).T)

@@ -264,6 +264,13 @@ class _NeuralBase:
             raise ShapeError("rates_c must have one entry per neuron")
         if np.any(self.rates_c < 0.0) or np.any(self.rates_c > 1.0):
             raise ShapeError("rates_c entries must lie in [0, 1]")
+        self._rates_rows = np.tile(self.rates_c, self.R)
+
+    def _centred(self, ys):
+        """ys - rates_c, subtracted on (T, R*N) rows against the rates tiled
+        once: the same bytes as broadcasting over the short N axis, faster."""
+        T, R, N = ys.shape
+        return (ys.reshape(T, R * N) - self._rates_rows).reshape(T, R, N)
 
     @property
     def d(self) -> int:
@@ -295,7 +302,7 @@ class NeuralPseudo(_NeuralBase):
 
     def _fields(self, xs, ys):
         """Local fields z, shape (T, R, N), and the centered spikes."""
-        yc = ys - self.rates_c
+        yc = self._centred(ys)
         z = np.matmul(yc, coupling_matrix(xs, self.N))
         z /= self.R
         return z, yc
@@ -360,7 +367,7 @@ class NeuralExact(_NeuralBase):
 
     def _suff(self, ys):
         """Centered pair-product means over trials, shape (T, d)."""
-        yc = ys - self.rates_c
+        yc = self._centred(ys)
         M = np.matmul(np.swapaxes(yc, 1, 2), yc).reshape(yc.shape[0], -1)
         return M[:, _pair_index(self.N)[0]] / self.R
 

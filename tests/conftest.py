@@ -1,7 +1,11 @@
 """Shared model builders, reference norms, reference local gradients and
-fields, and reference spike-coupling kernels for the test suite."""
+fields, reference spike-coupling kernels, and the csv-module writers and
+readers that the bulk CSV I/O must match, for the test suite."""
 
+import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from viterbipar import (
     stationary_covariance,
 )
 from viterbipar.core import gamma_weights
-from viterbipar.errors import ShapeError
+from viterbipar.errors import ConfigError, ShapeError
 
 
 def gamma_inner(x, y, w):
@@ -155,6 +159,77 @@ def neural_pseudo_field(lik, x_n, index_n, trial_k):
     if not 0 <= trial_k < lik.R:
         raise IndexError(f"trial index {trial_k} outside 0..{lik.R - 1}")
     return pseudo_fields(lik, x_n, lik.spikes[index_n])[trial_k]
+
+
+# ---------------------------------------------------------------------------
+# Reference CSV I/O: one csv.writer / csv.reader call per row and one Python
+# conversion per value. viterbipar.io must write the same bytes and read the
+# same arrays.
+# ---------------------------------------------------------------------------
+
+def reference_write_table_csv(path, arr, prefix):
+    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"{prefix}{i}" for i in range(arr.shape[1])])
+        for t in range(arr.shape[0]):
+            writer.writerow([t] + [repr(float(v)) for v in arr[t]])
+
+
+def reference_read_table_csv(path, prefix):
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if not header or header[0] != "t" or any(
+            h != f"{prefix}{i}" for i, h in enumerate(header[1:])
+        ):
+            raise ConfigError(f"{path}: expected header t,{prefix}0,... got {header}")
+        rows = [[float(v) for v in row[1:]] for row in reader if row]
+    return np.asarray(rows, dtype=float)
+
+
+def reference_write_spike_bundle(directory, spikes, bin_width=0.01):
+    spikes = np.asarray(spikes)
+    T, R, N = spikes.shape
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    files = []
+    for k in range(R):
+        name = f"trial_{k}.csv"
+        files.append(name)
+        with open(directory / name, "w", newline="") as fh:
+            csv.writer(fh).writerows(spikes[:, k].astype(np.int64).tolist())
+    manifest = {"N": N, "R": R, "bin_width": bin_width, "files": files}
+    with open(directory / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    return directory / "manifest.json"
+
+
+def reference_read_spike_bundle(manifest_path):
+    manifest_path = Path(manifest_path)
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    trials = []
+    for name in manifest["files"]:
+        with open(manifest_path.parent / name, newline="") as fh:
+            trials.append(np.asarray([[float(v) for v in row] for row in csv.reader(fh) if row]))
+    spikes = np.stack(trials, axis=1)
+    return spikes, spikes.mean(axis=(0, 1)), float(manifest.get("bin_width", 0.01))
+
+
+def reference_write_sweep_csv(path, rows, bounds=None):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        header = ["delta", "rel_error", "wall_clock_s", "speedup"]
+        if bounds is not None:
+            header.append("segment_bound")
+        writer.writerow(header)
+        for i, row in enumerate(rows):
+            out = [row.delta] + [repr(float(v)) for v in (row.rel_error, row.wall_clock_s, row.speedup)]
+            if bounds is not None:
+                out.append(repr(float(bounds[i])))
+            writer.writerow(out)
 
 
 def lg_signal(d=1, a=0.5, sigma_sq=1.0, b=0.0, b0=0.0, sigma0_sq=1.0, stationary=False):

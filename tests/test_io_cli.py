@@ -15,8 +15,9 @@ import viterbipar
 from viterbipar import ModelSpec, PathVector
 from viterbipar import io as vio
 from viterbipar.cli import main
+from viterbipar.parallel import SweepRow
 
-from conftest import random_spikes
+from conftest import random_spikes, reference_write_sweep_csv
 
 
 def _exit_at_once(objective, config):
@@ -124,6 +125,60 @@ class TestTables:
         with pytest.raises(ValueError, match="finite"):
             vio.write_spike_bundle(tmp_path / "spk", spikes)
         assert not (tmp_path / "spk").exists()
+
+    @pytest.mark.parametrize("bad", [2, 0.5, -1])
+    def test_spike_bundle_rejects_entries_other_than_0_and_1_before_writing(self, tmp_path, bad):
+        spikes = random_spikes(3, 2, 4).astype(np.asarray(bad).dtype)
+        spikes[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="0 or 1"):
+            vio.write_spike_bundle(tmp_path / "spk", spikes)
+        assert not (tmp_path / "spk").exists()
+
+    @pytest.mark.parametrize("text, match", [
+        ("t,x0,x1\r\n0,1.5\r\n", "line 2 has 2 fields, expected 3"),
+        ("t,x0,x1\r\n0,1.5,2\r\n\r\n1,1.5,2,3\r\n", "line 4 has 4 fields, expected 3"),
+        ("t,x0,x1\r\n0,1.5,2,\r\n", "line 2 has 4 fields, expected 3"),
+        ("t,x0,x1\r\n0,1.5,abc\r\n", "could not convert"),
+        ("t,x0,x1\r\n", "no data rows"),
+        ("t,x0,x1\r\n\r\n \r\n", "no data rows"),
+        ("", "expected header"),
+    ])
+    def test_malformed_table_raises_config_error_naming_the_file(self, tmp_path, text, match):
+        from viterbipar.errors import ConfigError
+
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(ConfigError, match=match) as info:
+            vio.read_table_csv(path, "x")
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_spike_trial_of_the_wrong_width_raises_config_error(self, tmp_path):
+        from viterbipar.errors import ConfigError
+
+        manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(3, 2, 4))
+        (tmp_path / "spk" / "trial_1.csv").write_bytes(b"0,1,1\r\n1,0,1,0\r\n0,0,1\r\n1,1,1\r\n")
+        with pytest.raises(ConfigError, match="trial_1.csv: line 2 has 4 fields, expected 3"):
+            vio.read_spike_bundle(manifest)
+
+    def test_spike_trials_of_different_lengths_raise_config_error(self, tmp_path):
+        from viterbipar.errors import ConfigError
+
+        manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(3, 2, 4))
+        with open(tmp_path / "spk" / "trial_1.csv", "ab") as fh:
+            fh.write(b"0,1,0\r\n")
+        with pytest.raises(ConfigError, match=r"manifest.json: trial files differ in row count: \[4, 5\]"):
+            vio.read_spike_bundle(manifest)
+
+    @pytest.mark.parametrize("with_bounds", [False, True])
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_sweep_csv_bytes_match_reference(self, tmp_path, with_bounds, n_rows):
+        rows = [SweepRow(0, np.float64(0.1), 1.5, np.float64(2.0) / 3),
+                SweepRow(np.int64(10), 1e-300, -0.0, float("inf")),
+                SweepRow(40, float("nan"), 5e-324, 12.0)][:n_rows]
+        bounds = [np.float64(1.25), float("inf"), 3][:n_rows] if with_bounds else None
+        vio.write_sweep_csv(tmp_path / "bulk.csv", rows, bounds)
+        reference_write_sweep_csv(tmp_path / "ref.csv", rows, bounds)
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_model_config_loads_stochvol_with_factor_csv(self, tmp_path):
         factors = np.linspace(-1, 1, 8).reshape(8, 1)
@@ -457,6 +512,19 @@ class TestCli:
             lines = r.stderr.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("configuration error:")
             assert f"{field!r} is not finite" in lines[0]
+
+    def test_non_finite_factor_csv_exits_2(self, runner, tmp_path):
+        (tmp_path / "z.csv").write_text("t,z0\n0,nan\n1,0.5\n2,-0.5\n")
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=2).read_text())
+        cfg["likelihood"] = {"type": "stoch_vol", "B": [[1.0], [0.5]], "factors_csv": "z.csv"}
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "2",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert str(tmp_path / "z.csv") in lines[0] and "finite" in lines[0]
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("files", [5, [1, 2]])
     def test_malformed_spike_manifest_exits_2(self, runner, tmp_path, files):
