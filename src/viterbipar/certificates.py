@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .core import GammaWeight, gamma_weights
-from .errors import CertificationError, UnsupportedBoundError
+from .errors import CertificationError, ConfigError, UnsupportedBoundError
 from .models.likelihoods import StochVolFactor
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
 from .models.spec import ModelSpec
@@ -139,6 +139,8 @@ def lambda_max(cert: DecayConvexityCertificate, gamma: float) -> float:
 
 
 def _finalize(zeta: float, zeta_tilde: float, theta: float, lambda_g: float) -> DecayConvexityCertificate:
+    if not math.isfinite(lambda_g):
+        raise ConfigError(f"lambda_g must be finite, got {lambda_g}")
     interval = _interval_from_constants(zeta, zeta_tilde, theta)
     cert = DecayConvexityCertificate(
         zeta=zeta,

@@ -2,9 +2,12 @@
 
 Commands: simulate, solve, solve-par, certify, sweep, verify. Every
 command is deterministic given its configuration and seed; the worker
-count never changes output bytes. Exit codes: 0 ok, 1 a ``verify``
-check failed, 2 configuration error, 3 I/O error, 4 solver divergence,
-5 certification failure, 6 a worker process died.
+count never changes output bytes. Every failure prints one line on
+stderr and exits with a code: 1 a ``verify`` check failed, 3 I/O
+error, 6 a worker process died, 7 internal error, and a package error's
+own code otherwise (2 configuration, 4 divergence, 5 certification;
+see :mod:`viterbipar.errors`). The solver flags' defaults are those of
+``SolverConfig``.
 """
 
 from __future__ import annotations
@@ -29,14 +32,7 @@ from .certificates import (
     viterbi_distance_bound_chi,
 )
 from .core import GammaWeight, PathVector, build_segment_plan
-from .errors import (
-    CertificationError,
-    ConfigError,
-    DivergenceError,
-    ShapeError,
-    UnsupportedBoundError,
-    UnsupportedModeError,
-)
+from .errors import CertificationError, ConfigError, ViterbiParError
 from .models.likelihoods import GaussianEmission
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
 from .models.spec import _NEURAL, ModelSpec, simulate
@@ -45,39 +41,29 @@ from .oracles import finite_diff_grad, rts_smoother
 from .parallel import solve_parallel, sweep_delta
 from .solver import SolverConfig, solve_map
 
-EXIT_CONFIG = 2
-EXIT_IO = 3
-EXIT_DIVERGENCE = 4
-EXIT_CERTIFICATION = 5
-EXIT_WORKER = 6
-
 
 def _echo_json(payload):
     click.echo(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def handle_errors(fn):
+    """Turn any exception of the command into one stderr line and its exit code."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DivergenceError as exc:
-            click.echo(f"solver divergence: {exc}", err=True)
-            sys.exit(EXIT_DIVERGENCE)
-        except CertificationError as exc:
-            click.echo(f"certification error: {exc}", err=True)
-            sys.exit(EXIT_CERTIFICATION)
-        except (ConfigError, ShapeError, UnsupportedModeError, ValueError) as exc:
-            click.echo(f"configuration error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+        except ViterbiParError as exc:
+            code, line = exc.exit_code, f"{exc.label}: {exc}"
         except OSError as exc:
-            click.echo(f"I/O error: {exc}", err=True)
-            sys.exit(EXIT_IO)
+            code, line = 3, f"I/O error: {exc}"
         except BrokenProcessPool as exc:
             reason = str(exc).rstrip(".")
-            click.echo(f"worker failure: {reason}; rerun with --workers 1 to solve in this process",
-                       err=True)
-            sys.exit(EXIT_WORKER)
+            code, line = 6, f"worker failure: {reason}; rerun with --workers 1 to solve in this process"
+        except Exception as exc:
+            code, line = 7, f"internal error: {type(exc).__name__}: {exc}"
+        click.echo(line, err=True)
+        sys.exit(code)
 
     return wrapper
 
@@ -98,6 +84,18 @@ def _load_model(model_path, obs_path) -> ModelSpec:
     return ModelSpec(model.signal, model.likelihood, observations=ys, chi=model.chi)
 
 
+def _write_run(out_dir, solution: PathVector, payload: dict):
+    """Write a solve's path to solution.csv and ``payload``, with that file
+    name added, to report.json, and echo the payload."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    vio.write_path_csv(out / "solution.csv", solution.blocks)
+    payload["solution"] = str(out / "solution.csv")
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    (out / "report.json").write_text(text + "\n")
+    click.echo(text)
+
+
 def _certify_model(model: ModelSpec, lambda_g: float):
     if isinstance(model.signal, LinearGaussianSignal):
         return certify_linear_gaussian(model.signal, lambda_g=lambda_g)
@@ -116,11 +114,11 @@ def solver_options(fn):
                               grad_tol=grad_tol, gamma=GammaWeight(gamma))
         return fn(*args, config=config, **kwargs)
 
-    wrapper = click.option("--step-mode", type=click.Choice(["fixed", "backtracking"]), default="backtracking", show_default=True)(wrapper)
-    wrapper = click.option("--step-size", type=float, default=1.0, show_default=True, help="fixed step, or initial trial step when backtracking")(wrapper)
-    wrapper = click.option("--max-iters", type=int, default=20000, show_default=True)(wrapper)
-    wrapper = click.option("--grad-tol", type=float, default=None, help="stop when the discounted gradient norm falls below this")(wrapper)
-    wrapper = click.option("--gamma", type=float, default=1.0, show_default=True, help="discount used by the stopping norm")(wrapper)
+    wrapper = click.option("--step-mode", type=click.Choice(["fixed", "backtracking"]), default=SolverConfig.step_mode, show_default=True)(wrapper)
+    wrapper = click.option("--step-size", type=float, default=SolverConfig.step_size, show_default=True, help="fixed step, or initial trial step when backtracking")(wrapper)
+    wrapper = click.option("--max-iters", type=int, default=SolverConfig.max_iters, show_default=True)(wrapper)
+    wrapper = click.option("--grad-tol", type=float, default=SolverConfig.grad_tol, help="stop when the discounted gradient norm falls below this")(wrapper)
+    wrapper = click.option("--gamma", type=float, default=GammaWeight.gamma, show_default=True, help="discount used by the stopping norm")(wrapper)
     return wrapper
 
 
@@ -138,7 +136,7 @@ def main():
 @main.command(name="simulate")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--n", "horizon", required=True, type=int, help="horizon: indices 0..n are generated")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @handle_errors
 def simulate_cmd(model_path, horizon, seed, out_dir):
@@ -177,16 +175,8 @@ def simulate_cmd(model_path, horizon, seed, out_dir):
 @solver_options
 def solve_cmd(model_path, obs_path, out_dir, config):
     """Solve the full-path MAP problem."""
-    model = _load_model(model_path, obs_path)
-    report = solve_map(model, config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    vio.write_path_csv(out / "solution.csv", report.solution.blocks)
-    payload = {"command": "solve", **report.to_dict(), "solution": str(out / "solution.csv")}
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_json(payload)
+    report = solve_map(_load_model(model_path, obs_path), config)
+    _write_run(out_dir, report.solution, {"command": "solve", **report.to_dict()})
 
 
 @main.command(name="solve-par")
@@ -207,22 +197,7 @@ def solve_par_cmd(model_path, obs_path, out_dir, num_segments, delta, workers, b
     model = _load_model(model_path, obs_path)
     plan = build_segment_plan(model.horizon, num_segments, delta)
     report = solve_parallel(model, plan, config, workers=workers, boundary_mode=boundary_mode)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    vio.write_path_csv(out / "solution.csv", report.stitched.blocks)
-    payload = {
-        "command": "solve-par",
-        "num_segments": plan.num_segments_l,
-        "delta": plan.overlap_delta,
-        "boundary_mode": report.boundary_mode,
-        "wall_clock_seconds": report.wall_clock_seconds,
-        "per_segment": [r.to_dict() for r in report.per_segment],
-        "solution": str(out / "solution.csv"),
-    }
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _echo_json(payload)
+    _write_run(out_dir, report.stitched, {"command": "solve-par", **report.to_dict()})
 
 
 @main.command(name="certify")
@@ -235,10 +210,8 @@ def solve_par_cmd(model_path, obs_path, out_dir, num_segments, delta, workers, b
 @handle_errors
 def certify_cmd(model_path, obs_path, lambda_g, gamma, lam):
     """Evaluate the decay-convexity certificate; exit 5 when infeasible."""
-    try:
-        model = _load_model(model_path, obs_path)
-    except ConfigError:
-        model = vio.load_model_config(model_path)  # certificates need no data
+    # certificates need no data; given data is loaded as every command loads it
+    model = vio.load_model_config(model_path) if obs_path is None else _load_model(model_path, obs_path)
     cert = _certify_model(model, lambda_g)
     if not cert.feasible:
         payload = cert.to_dict()
@@ -249,7 +222,7 @@ def certify_cmd(model_path, obs_path, lambda_g, gamma, lam):
             "condition fails"
         )
         _echo_json(payload)
-        sys.exit(EXIT_CERTIFICATION)
+        sys.exit(CertificationError.exit_code)
     if gamma is not None:
         if not cert.gamma_interval.contains(gamma):
             raise CertificationError(f"gamma={gamma} outside the feasible interval")
@@ -264,14 +237,11 @@ def certify_cmd(model_path, obs_path, lambda_g, gamma, lam):
     payload = cert.to_dict()
     if model.observations is not None and model.chi is not None:
         n = model.horizon // 2
-        try:
-            payload["bounds"] = {
-                "viterbi_distance_chi": viterbi_distance_bound_chi(model, cert, n, model.horizon),
-                "at_horizon": n,
-                "tail_horizon": model.horizon,
-            }
-        except (UnsupportedBoundError, CertificationError):
-            pass
+        payload["bounds"] = {
+            "viterbi_distance_chi": viterbi_distance_bound_chi(model, cert, n, model.horizon),
+            "at_horizon": n,
+            "tail_horizon": model.horizon,
+        }
     _echo_json(payload)
 
 
@@ -305,7 +275,7 @@ def sweep_cmd(model_path, obs_path, out_csv, num_segments, deltas, workers, lamb
                 segment_overlap_error_bound(model, cert, plan.block_len_Delta, d, tail)
                 for d in delta_list
             ]
-    except (CertificationError, UnsupportedBoundError, ValueError):
+    except ValueError:  # no certificate, or too short a tail for the bound
         bounds = None
     vio.write_sweep_csv(out_csv, rows, bounds)
     _echo_json(
@@ -327,8 +297,8 @@ def sweep_cmd(model_path, obs_path, out_csv, num_segments, deltas, workers, lamb
 @main.command(name="verify")
 @click.option("--model", "model_path", required=True, type=click.Path(exists=True))
 @click.option("--obs", "obs_path", type=click.Path(exists=True), default=None)
-@click.option("--points", type=int, default=20, show_default=True, help="random points for the gradient check")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--points", type=click.IntRange(min=1), default=20, show_default=True, help="random points for the gradient check")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--lambda-g", type=float, default=0.0, show_default=True)
 @handle_errors
 def verify_cmd(model_path, obs_path, points, seed, lambda_g):
@@ -355,11 +325,8 @@ def verify_cmd(model_path, obs_path, points, seed, lambda_g):
         err = float(np.max(np.abs(report.solution.blocks - exact.blocks)))
         checks["solver_vs_exact_smoother"] = {"max_block_error": err, "pass": err <= 1e-6}
 
-    try:
-        cert = _certify_model(model, lambda_g)
-    except CertificationError:
-        cert = None
-    if cert is not None and cert.feasible:
+    cert = _certify_model(model, lambda_g)
+    if cert.feasible:
         slack = empirical_decay_convexity(model, cert, trials=200, seed=seed)
         checks["decay_convexity_slack"] = {
             "min_slack": slack.min_slack,
@@ -367,7 +334,7 @@ def verify_cmd(model_path, obs_path, points, seed, lambda_g):
             "lambda": slack.lam,
             "pass": slack.min_slack >= -1e-10,
         }
-    elif cert is not None:
+    else:
         checks["certificate"] = {"feasible": False, "pass": True}
 
     ok = all(c.get("pass", True) for c in checks.values())

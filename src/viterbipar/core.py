@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PlanError, ShapeError
+from .errors import ConfigError, PlanError, ShapeError
 
 __all__ = [
     "PathVector",
@@ -53,7 +53,7 @@ class GammaWeight:
     def __post_init__(self):
         g = float(self.gamma)
         if not (0.0 < g <= 1.0):
-            raise ValueError(f"gamma must lie in (0, 1], got {g}")
+            raise ConfigError(f"gamma must lie in (0, 1], got {g}")
         object.__setattr__(self, "gamma", g)
 
 

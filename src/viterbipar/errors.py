@@ -1,13 +1,18 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code scheme (config 2, I/O 3,
-divergence 4, certification 5). Its other codes are 1, a ``verify``
-check failed, and 6, a worker process died.
+Each class carries the CLI exit code and the stderr label of its
+failures: configuration 2 (the base class, and so every subclass that
+does not override it), divergence 4, certification 5. The CLI's other
+codes are its own: 1 a ``verify`` check failed, 3 an I/O error, 6 a
+worker process died, 7 an internal error.
 """
 
 
 class ViterbiParError(Exception):
     """Base class for package-specific errors."""
+
+    exit_code = 2
+    label = "configuration error"
 
 
 class ShapeError(ViterbiParError, ValueError):
@@ -25,6 +30,9 @@ class DivergenceError(ViterbiParError, RuntimeError):
     from a parallel solve).
     """
 
+    exit_code = 4
+    label = "solver divergence"
+
     def __init__(self, message, iteration=None, segments=None):
         super().__init__(message)
         self.iteration = iteration
@@ -34,10 +42,16 @@ class DivergenceError(ViterbiParError, RuntimeError):
 class CertificationError(ViterbiParError, ValueError):
     """Certificate construction failed (e.g. a covariance is not SPD)."""
 
+    exit_code = 5
+    label = "certification error"
+
 
 class UnsupportedBoundError(ViterbiParError, RuntimeError):
     """No certified eta bound is available for this model (chi missing and
     no model-specific specialization applies)."""
+
+    exit_code = 5
+    label = "certification error"
 
 
 class UnsupportedModeError(ViterbiParError, ValueError):
@@ -46,4 +60,4 @@ class UnsupportedModeError(ViterbiParError, ValueError):
 
 
 class ConfigError(ViterbiParError, ValueError):
-    """A run/model configuration file failed validation."""
+    """A run/model configuration or input value failed validation."""

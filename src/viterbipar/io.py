@@ -109,7 +109,7 @@ def read_table_csv(path, prefix: str) -> np.ndarray:
     """Read a table written by ``write_table_csv`` as a C-contiguous float64
     (T, k) array; the t column is not read."""
     with open(path, "rb") as fh:
-        header = next(csv.reader([fh.readline().decode()]), [])
+        header = next(csv.reader([fh.readline().decode(errors="replace")]), [])
         if not header or header[0] != "t" or any(
             h != f"{prefix}{i}" for i, h in enumerate(header[1:])
         ):
@@ -182,8 +182,7 @@ def read_spike_bundle(manifest_path):
     rates are the empirical means over bins and trials.
     """
     manifest_path = Path(manifest_path)
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path)
     try:
         N, R = int(manifest["N"]), int(manifest["R"])
         files = manifest["files"]
@@ -192,8 +191,8 @@ def read_spike_bundle(manifest_path):
         raise ConfigError(f"{manifest_path}: bad spike manifest: {exc}") from exc
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise ConfigError(f"{manifest_path}: bad spike manifest: 'files' must be a list of file names")
-    if len(files) != R:
-        raise ConfigError(f"{manifest_path}: manifest lists {len(files)} files for R={R}")
+    if R < 1 or len(files) != R:
+        raise ConfigError(f"{manifest_path}: manifest lists {len(files)} files for R={R} (R >= 1)")
     trials = []
     for name in files:
         path = manifest_path.parent / name
@@ -211,6 +210,15 @@ def read_spike_bundle(manifest_path):
 # ---------------------------------------------------------------------------
 
 _JSON_KINDS = {dict: "an object", str: "a string"}
+
+
+def _read_json(path):
+    """The JSON document in the file ``path``; ConfigError naming it if not JSON text."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _typed(cfg, key, ctx, kind):
@@ -263,8 +271,12 @@ def _build_signal(cfg, base_dir):
     if kind == "huber":
         drift_cfg = _typed(cfg, "drift_map", "signal", dict)
         dkind = drift_cfg.get("kind")
+        b = _arr(cfg, "b", "signal")
         if dkind == "linear":
             drift = LinearDrift(_arr(drift_cfg, "M", "drift_map"))
+            if drift.M.shape != (b.size,) * 2:
+                raise ConfigError(f"drift_map: field 'M' has shape {drift.M.shape}, expected "
+                                  f"{b.size}x{b.size} for the {b.size} entries of 'b'")
         elif dkind == "tanh":
             drift = TanhDrift(_num(drift_cfg, "scale", "drift_map", 0.5))
         else:
@@ -275,7 +287,7 @@ def _build_signal(cfg, base_dir):
         )
         return HuberNonlinearSignal(
             drift_map=drift,
-            b=_arr(cfg, "b", "signal"),
+            b=b,
             huber_c=_num(cfg, "huber_c", "signal", 1.0),
             lipschitz_bounds=bounds,
         )
@@ -312,11 +324,7 @@ def load_model_config(path) -> ModelSpec:
     plus an optional top-level ``chi``. The spec holds no observations.
     """
     path = Path(path)
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must contain 'signal' and 'likelihood' objects")
     signal = _build_signal(_typed(cfg, "signal", "config", dict), path.parent)

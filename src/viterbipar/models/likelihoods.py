@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CertificationError, ShapeError
+from ..errors import CertificationError, ConfigError, ShapeError
 from .signals import _LOG_2PI, _as_spd, _diag_factor, _is_diagonal
 
 __all__ = [
@@ -110,7 +110,7 @@ class StudentTEmission:
 
     def __post_init__(self):
         if not self.dof > 0:
-            raise ValueError(f"dof must be positive, got {self.dof}")
+            raise ConfigError(f"dof must be positive, got {self.dof}")
 
     def _log_const(self, d: int) -> float:
         v = self.dof
@@ -144,6 +144,8 @@ class StochVolFactor:
     def __init__(self, B, factors):
         self.B = np.atleast_2d(np.asarray(B, dtype=float))
         self.factors = np.atleast_2d(np.asarray(factors, dtype=float))
+        if self.B.ndim != 2 or self.factors.ndim != 2:
+            raise ShapeError(f"B and factors must be matrices, got shapes {self.B.shape} and {self.factors.shape}")
         if self.factors.shape[1] != self.B.shape[1]:
             raise ShapeError(
                 f"factor dim {self.factors.shape[1]} does not match B columns {self.B.shape[1]}"

@@ -14,7 +14,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from ..errors import CertificationError, UnsupportedModeError
+from ..errors import CertificationError, ConfigError, ShapeError, UnsupportedModeError
 
 __all__ = [
     "LinearGaussianSignal",
@@ -72,8 +72,11 @@ def stationary_covariance(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or Sigma.shape != A.shape:
+        raise ShapeError(f"stationary covariance needs a square A and a Sigma of its shape, "
+                         f"got {A.shape} and {Sigma.shape}")
     if np.max(np.abs(np.linalg.eigvals(A))) >= 1.0:
-        raise ValueError("stationary covariance requires spectral radius of A below 1")
+        raise ConfigError("stationary covariance requires spectral radius of A below 1")
     P = Sigma.copy()
     Ak = A.copy()
     # 2^64 terms reach any spectral radius below one in double precision
@@ -108,8 +111,11 @@ class LinearGaussianSignal:
         d = self.A.shape[0]
         if self.A.shape != (d, d):
             raise CertificationError(f"A must be square, got {self.A.shape}")
-        self.b = np.broadcast_to(np.asarray(b, dtype=float).reshape(-1), (d,)).copy()
-        self.b0 = np.broadcast_to(np.asarray(b0, dtype=float).reshape(-1), (d,)).copy()
+        b, b0 = (np.asarray(v, dtype=float).reshape(-1) for v in (b, b0))
+        if {b.size, b0.size} - {1, d}:  # a single entry broadcasts
+            raise ShapeError(f"b and b0 must have 1 or {d} entries (the size of A), "
+                             f"got {b.size} and {b0.size}")
+        self.b, self.b0 = np.broadcast_to(b, (d,)).copy(), np.broadcast_to(b0, (d,)).copy()
         self.Sigma, self._chol_S, self._logdet_S = _as_spd("Sigma", Sigma)
         self.Sigma0, self._chol_S0, self._logdet_S0 = _as_spd("Sigma0", Sigma0)
         if self.Sigma.shape != (d, d) or self.Sigma0.shape != (d, d):
@@ -339,18 +345,18 @@ class HuberNonlinearSignal:
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         c = float(self.huber_c)
         if c <= 0:
-            raise ValueError(f"huber threshold must be positive, got {c}")
+            raise ConfigError(f"huber threshold must be positive, got {c}")
         self.huber_c = c
         self.lipschitz_bounds = tuple(float(v) for v in self.lipschitz_bounds)
         if any(v < 0 or not math.isfinite(v) for v in self.lipschitz_bounds):
-            raise ValueError("Lipschitz bounds must be finite and nonnegative")
+            raise ConfigError("Lipschitz bounds must be finite and nonnegative")
         self._log_z = self.dim * math.log(sum(_huber_masses(c)))  # log partition
         self._spot_check_bounds()
 
     def _spot_check_bounds(self, points: int = 16, tol: float = 1e-8):
         L_psi, L_grad_psi, L_A, L_grad_A = self.lipschitz_bounds
         if L_psi + tol < 1.0 or L_grad_psi + tol < 1.0 / self.huber_c:
-            raise ValueError(
+            raise ConfigError(
                 "Huber penalty bounds too small: need L_psi >= 1 and "
                 f"L_grad_psi >= 1/c = {1.0 / self.huber_c:g}"
             )
@@ -361,12 +367,12 @@ class HuberNonlinearSignal:
         jacs = [self.drift_map.vjp(np.repeat(x[None], self.dim, 0), eye) for x in xs]
         for J in jacs:
             if np.linalg.norm(J, 2) > L_A + tol:
-                raise ValueError("drift Jacobian exceeds the declared L_A at a sampled point")
+                raise ConfigError("drift Jacobian exceeds the declared L_A at a sampled point")
         for i in range(len(xs) - 1):
             lhs = np.linalg.norm(jacs[i] - jacs[i + 1], 2)
             rhs = L_grad_A * np.linalg.norm(xs[i] - xs[i + 1]) + tol
             if lhs > rhs:
-                raise ValueError("drift Jacobian variation exceeds the declared L_grad_A")
+                raise ConfigError("drift Jacobian variation exceeds the declared L_grad_A")
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core import PathVector
-from ..errors import ShapeError
+from ..errors import ConfigError, ShapeError
 from .likelihoods import (
     GaussianEmission,
     NeuralExact,
@@ -164,7 +164,7 @@ def simulate(model: ModelSpec, horizon: int, seed: int) -> tuple[PathVector, np.
     """
     horizon = int(horizon)
     if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+        raise ConfigError(f"horizon must be nonnegative, got {horizon}")
     rng = np.random.default_rng(seed)
     xs = model.signal.sample_path(horizon, rng)
     ys = model.likelihood.sample(xs, rng)

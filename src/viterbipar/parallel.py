@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .core import PathVector, SegmentPlan, build_segment_plan
-from .errors import DivergenceError, UnsupportedModeError
+from .errors import ConfigError, DivergenceError, UnsupportedModeError
 from .models.spec import ModelSpec
 from .objective import WindowedObjective
 from .solver import SolveReport, SolverConfig, solve_map, solve_windowed
@@ -46,6 +46,15 @@ class ParallelSolveReport:
     plan: SegmentPlan
     boundary_mode: str
     wall_clock_seconds: float
+
+    def to_dict(self) -> dict:
+        return {
+            "num_segments": self.plan.num_segments_l,
+            "delta": self.plan.overlap_delta,
+            "boundary_mode": self.boundary_mode,
+            "wall_clock_seconds": self.wall_clock_seconds,
+            "per_segment": [r.to_dict() for r in self.per_segment],
+        }
 
 
 def default_boundary_mode(model: ModelSpec) -> str:
@@ -165,27 +174,27 @@ def sweep_delta(
     parallel wall clock. One process pool serves every delta, so the
     first row's wall clock includes the pool's start-up. The segment
     solves use :func:`default_boundary_mode`. Returns (rows, reference
-    report, boundary mode). A reference that is the zero path, as
-    all-zero observations of a zero-mean chain give, leaves every
-    relative error undefined and raises ValueError before any segment
-    solve.
+    report, boundary mode). Invalid deltas or plans raise before the
+    reference solve. A zero-path reference, as all-zero observations of a
+    zero-mean chain give, leaves every relative error undefined and raises
+    ConfigError before any segment solve.
     """
-    if sorted(deltas) != list(deltas) or any(d < 0 for d in deltas):
-        raise ValueError("deltas must be nonnegative and sorted ascending")
-    reference = solve_map(model, config)
-    if not np.any(reference.solution.blocks):
-        raise ValueError(
-            "the full solve is the zero path (all-zero observations?); "
-            "errors relative to it are undefined"
-        )
+    if not deltas or sorted(deltas) != list(deltas) or any(d < 0 for d in deltas):
+        raise ConfigError("deltas must be a nonempty ascending list of nonnegative overlaps")
     mode = default_boundary_mode(model)
-    # every window is built before the pool starts
+    # every window is built before the reference solve and the pool start
     runs = []
     for delta in deltas:
         t_start = time.perf_counter()
         plan = build_segment_plan(model.horizon, num_segments_l, delta)
         runs.append((delta, plan, _segment_jobs(model, plan, config, mode),
                      time.perf_counter() - t_start))
+    reference = solve_map(model, config)
+    if not np.any(reference.solution.blocks):
+        raise ConfigError(
+            "the full solve is the zero path (all-zero observations?); "
+            "errors relative to it are undefined"
+        )
     rows = []
     with _pool(workers, num_segments_l) as pool:
         for delta, plan, jobs, build_s in runs:

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .core import GammaWeight, PathVector, _weighted_norm, gamma_weights
-from .errors import DivergenceError, ShapeError
+from .errors import ConfigError, DivergenceError, ShapeError
 from .models.spec import ModelSpec
 from .objective import FullObjective, WindowedObjective
 
@@ -39,24 +39,24 @@ class SolverConfig:
     step in backtracking mode. ``grad_tol`` stops the iteration once the
     discounted gradient norm (weight ``gamma``) falls below it; the
     default None scales a 1e-8 floor with the square root of the path
-    length.
+    length. The defaults are the CLI's too.
     """
 
     step_mode: str = "backtracking"
     step_size: float = 1.0
-    max_iters: int = 10_000
+    max_iters: int = 20_000
     grad_tol: float | None = None
     gamma: GammaWeight = field(default_factory=GammaWeight)
 
     def __post_init__(self):
         if self.step_mode not in ("fixed", "backtracking"):
-            raise ValueError(f"step_mode must be 'fixed' or 'backtracking', got {self.step_mode!r}")
+            raise ConfigError(f"step_mode must be 'fixed' or 'backtracking', got {self.step_mode!r}")
         if not 0 < self.step_size < math.inf:
-            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
+            raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ConfigError("max_iters must be at least 1")
         if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:
-            raise ValueError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
+            raise ConfigError(f"grad_tol must be nonnegative and finite, got {self.grad_tol}")
 
     def resolved_tol(self, n_blocks: int) -> float:
         if self.grad_tol is not None:
@@ -93,18 +93,8 @@ class SolveReport:
     coasting_steps: int
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "grad_evals": self.grad_evals,
-            "value_evals": self.value_evals,
-            "halvings": self.halvings,
-            "coasting_steps": self.coasting_steps,
-            "final_grad_norm": self.final_grad_norm,
-            "objective_value": self.objective_value,
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        """Every field but the path."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solution"}
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -13,11 +13,25 @@ from click.testing import CliRunner
 
 import viterbipar
 from viterbipar import ModelSpec, PathVector
+from viterbipar import errors
 from viterbipar import io as vio
 from viterbipar.cli import main
 from viterbipar.parallel import SweepRow
+from viterbipar.solver import SolverConfig
 
 from conftest import random_spikes, reference_write_sweep_csv
+
+# every package error: (exit code, stderr label)
+_ERROR_EXITS = {
+    errors.ViterbiParError: (2, "configuration error"),
+    errors.ShapeError: (2, "configuration error"),
+    errors.PlanError: (2, "configuration error"),
+    errors.ConfigError: (2, "configuration error"),
+    errors.UnsupportedModeError: (2, "configuration error"),
+    errors.DivergenceError: (4, "solver divergence"),
+    errors.CertificationError: (5, "certification error"),
+    errors.UnsupportedBoundError: (5, "certification error"),
+}
 
 
 def _exit_at_once(objective, config):
@@ -653,6 +667,167 @@ class TestCli:
                      + ["--step-mode", mode, "--step-size", "1e300"])
         assert r.returncode == (4 if want else 0), r.stderr
         assert r.stderr.splitlines() == want
+
+    def test_every_package_error_is_in_the_exit_table(self):
+        classes = {c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.ViterbiParError)}
+        assert classes == set(_ERROR_EXITS)
+
+    @pytest.mark.parametrize("exc, code, line", [
+        *[pytest.param(cls("boom"), code, f"{label}: boom", id=cls.__name__)
+          for cls, (code, label) in _ERROR_EXITS.items()],
+        pytest.param(OSError("boom"), 3, "I/O error: boom", id="OSError"),
+        pytest.param(KeyError("boom"), 7, "internal error: KeyError: 'boom'", id="KeyError"),
+        pytest.param(ValueError("boom"), 7, "internal error: ValueError: boom", id="ValueError"),
+    ])
+    def test_each_failure_exits_with_its_code_and_one_line(self, runner, tmp_path, monkeypatch,
+                                                           exc, code, line):
+        args = _simulated_solve_args(runner, tmp_path)
+
+        def fail(model, config):
+            raise exc
+
+        monkeypatch.setattr("viterbipar.cli.solve_map", fail)
+        r = runner.invoke(main, args)
+        assert r.exit_code == code, r.output
+        assert r.exception is None or isinstance(r.exception, SystemExit)
+        assert r.stderr.splitlines() == [line]
+
+    def test_internal_error_prints_no_traceback(self, runner, tmp_path):
+        # a numpy failure inside the command, in a fresh interpreter
+        args = _simulated_solve_args(runner, tmp_path)
+        code = ("import numpy, viterbipar.cli as cli; "
+                "cli.solve_map = lambda model, config: numpy.zeros(2) @ numpy.zeros(3); cli.main()")
+        src = str(Path(viterbipar.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        r = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           text=True, timeout=60)
+        assert r.returncode == 7, r.stderr
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: ValueError: matmul")
+        assert "Traceback" not in r.stderr
+
+    def test_solver_flag_defaults_are_the_library_defaults(self):
+        want = SolverConfig()
+        for name in ("solve", "solve-par", "sweep"):
+            defaults = {p.name: p.default for p in main.commands[name].params}
+            assert defaults["step_mode"] == want.step_mode
+            assert defaults["step_size"] == want.step_size
+            assert defaults["max_iters"] == want.max_iters == 20000
+            assert defaults["grad_tol"] == want.grad_tol
+            assert defaults["gamma"] == want.gamma.gamma
+
+    def test_report_keys(self, runner, tmp_path):
+        solve_keys = {"command", "iterations", "converged", "stop_reason", "grad_evals",
+                      "value_evals", "halvings", "coasting_steps", "final_grad_norm",
+                      "objective_value", "wall_clock_seconds", "solution"}
+        args = _two_segment_args(runner, tmp_path, "solve-par")
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+        report = json.loads((tmp_path / "par" / "report.json").read_text())
+        assert json.loads(r.output) == report
+        assert set(report) == {"command", "num_segments", "delta", "boundary_mode",
+                               "wall_clock_seconds", "per_segment", "solution"}
+        assert [set(seg) for seg in report["per_segment"]] == [solve_keys - {"command", "solution"}] * 2
+        r = runner.invoke(main, ["solve", *args[1:5], "--out", str(tmp_path / "full")])
+        assert r.exit_code == 0, r.output
+        report = json.loads((tmp_path / "full" / "report.json").read_text())
+        assert json.loads(r.output) == report and set(report) == solve_keys
+
+    @pytest.mark.parametrize("bad", ["abc row", "header", "spike manifest", "spike trial"])
+    def test_certify_rejects_malformed_obs(self, runner, tmp_path, bad):
+        if bad.startswith("spike"):
+            manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(3, 2, 6, seed=1))
+            cfg = json.loads(write_lg_config(tmp_path / "m.json", d=3).read_text())
+            cfg["likelihood"] = {"type": "neural_pseudo", "manifest": str(manifest)}
+            (tmp_path / "m.json").write_text(json.dumps(cfg))
+            obs = vio.write_spike_bundle(tmp_path / "obs", random_spikes(3, 2, 6, seed=2))
+            if bad == "spike manifest":
+                obs.write_text("{'N': 3")
+            else:
+                (tmp_path / "obs" / "trial_1.csv").write_text("0,1,abc\n")
+        else:
+            write_lg_config(tmp_path / "m.json")
+            obs = tmp_path / "y.csv"
+            obs.write_text("t,y0\n0,1.5\n1,abc\n" if bad == "abc row" else "t,z0\n0,1.5\n")
+        r = runner.invoke(main, ["certify", "--model", str(tmp_path / "m.json"), "--obs", str(obs)])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert str(obs.parent if bad == "spike trial" else obs) in lines[0]
+
+    @pytest.mark.parametrize("case, named", [
+        ("b", "b and b0 must have 1 or 2 entries (the size of A), got 3 and 2"),
+        ("b0", "b and b0 must have 1 or 2 entries (the size of A), got 2 and 3"),
+        ("stationary Sigma", "needs a square A and a Sigma of its shape, got (2, 2) and (3, 3)"),
+        ("linear drift", "field 'M' has shape (3, 3), expected 2x2"),
+        ("factors", "B and factors must be matrices"),
+        ("manifest JSON", "manifest.json: invalid JSON"),
+        ("manifest R", "manifest.json: manifest lists 0 files for R=0 (R >= 1)"),
+        ("model JSON", "m.json: invalid JSON"),
+    ])
+    def test_malformed_shapes_and_files_exit_2_naming_the_field(self, runner, tmp_path, case, named):
+        # each of these failed inside numpy or json before it was checked
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=2).read_text())
+        sig = cfg["signal"]
+        if case in ("b", "b0"):
+            sig[case] = [0.0] * 3
+        elif case == "stationary Sigma":
+            sig["Sigma"], sig["Sigma0"] = np.eye(3).tolist(), "stationary"
+        elif case == "linear drift":
+            cfg["signal"] = {"type": "huber", "drift_map": {"kind": "linear", "M": np.eye(3).tolist()},
+                             "b": [0.0, 0.0], "lipschitz_bounds": {"L_psi": 1.0, "L_grad_psi": 1.0,
+                                                                   "L_A": 1.0, "L_grad_A": 0.0}}
+        elif case == "factors":
+            cfg["likelihood"] = {"type": "stoch_vol", "B": [[1.0], [0.5]], "factors": [[[0.1]]] * 8}
+        elif case.startswith("manifest"):
+            vio.write_spike_bundle(tmp_path / "spk", random_spikes(2, 1, 6, seed=1))
+            cfg["signal"] = json.loads(write_lg_config(tmp_path / "m.json", d=1).read_text())["signal"]
+            cfg["likelihood"] = {"type": "neural_pseudo", "manifest": "spk/manifest.json"}
+            (tmp_path / "spk" / "manifest.json").write_text(
+                "{'N': 2" if case == "manifest JSON" else json.dumps({"N": 2, "R": 0, "files": []}))
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        if case == "model JSON":
+            (tmp_path / "m.json").write_bytes(b"\xff{}")
+        r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "5",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:")
+        assert named in lines[0]
+
+    def test_single_entry_offsets_still_broadcast(self, runner, tmp_path):
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=2).read_text())
+        cfg["signal"]["b"], cfg["signal"]["b0"] = [0.5], 0.25
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        spec = vio.load_model_config(tmp_path / "m.json")
+        assert spec.signal.b.tolist() == [0.5, 0.5] and spec.signal.b0.tolist() == [0.25, 0.25]
+
+    @pytest.mark.parametrize("l, deltas, named", [
+        ("2", ",", "deltas must be a nonempty ascending list"),
+        ("2", "3,1", "deltas must be a nonempty ascending list"),
+        ("5", "0", "horizon+1 = 24 is not divisible by l = 5"),
+        ("2", "0,24", "overlap 24 must be smaller than the path length 24"),
+    ])
+    def test_sweep_checks_its_inputs_before_the_reference_solve(self, runner, tmp_path, monkeypatch,
+                                                                 l, deltas, named):
+        args = _two_segment_args(runner, tmp_path, "sweep") + ["--l", l, "--deltas", deltas]
+        calls = []
+        monkeypatch.setattr("viterbipar.parallel.solve_map", lambda *a: calls.append(a))
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert calls == []
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("configuration error:") and named in lines[0]
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_verify_needs_at_least_one_point(self, runner, tmp_path):
+        cfg = write_lg_config(tmp_path / "m.json")
+        vio.write_observations_csv(tmp_path / "y.csv", np.ones((4, 1)))
+        r = runner.invoke(main, ["verify", "--model", str(cfg), "--obs", str(tmp_path / "y.csv"),
+                                 "--points", "0"])
+        assert r.exit_code == 2, r.output
+        assert "--points" in r.stderr and "x>=1" in r.stderr
 
     def test_stochvol_simulate_solve_verify(self, runner, tmp_path):
         factors = np.sin(np.linspace(0, 3, 16))[:, None].tolist()

@@ -1,5 +1,6 @@
 """Package surface: every exported name resolves, and the runtime needs no scipy."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -43,3 +44,23 @@ def test_cli_import_loads_no_scipy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_no_unused_imports():
+    # no linter is a test dependency: a name bound by an import must be read
+    # in its module, or be listed in its ``__all__``
+    unused = []
+    for path in sorted(Path(viterbipar.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["__all__"]
+                    for elt in node.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in read and name not in exported]
+    assert unused == []
