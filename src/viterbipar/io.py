@@ -184,11 +184,14 @@ def read_spike_bundle(manifest_path):
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path)
     try:
-        N, R = int(manifest["N"]), int(manifest["R"])
+        N, R = manifest["N"], manifest["R"]
         files = manifest["files"]
         bin_width = float(manifest.get("bin_width", 0.01))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{manifest_path}: bad spike manifest: {exc}") from exc
+    if type(N) is not int or type(R) is not int:  # a bool is no int here
+        raise ConfigError(f"{manifest_path}: bad spike manifest: 'N' and 'R' must be integers, "
+                          f"got N={N!r}, R={R!r}")
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise ConfigError(f"{manifest_path}: bad spike manifest: 'files' must be a list of file names")
     if R < 1 or len(files) != R:
@@ -196,7 +199,13 @@ def read_spike_bundle(manifest_path):
     trials = []
     for name in files:
         path = manifest_path.parent / name
-        trials.append(_parse_rows(path, path.read_bytes(), N))
+        body = path.read_bytes()
+        # the parse sizes its columns by N, so N must first match a row (a
+        # row has at least one field, so this also rejects N < 1)
+        width = body.lstrip().partition(b"\n")[0].count(b",") + 1
+        if body.strip() and width != N:
+            raise ConfigError(f"{manifest_path}: N={N}, but the first row of {name} has {width} fields")
+        trials.append(_parse_rows(path, body, N))
     counts = sorted({trial.shape[0] for trial in trials})
     if len(counts) > 1:
         raise ConfigError(f"{manifest_path}: trial files differ in row count: {counts}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CertificationError, ConfigError, ShapeError
+from ..errors import ConfigError, ShapeError
 from .signals import _LOG_2PI, _as_spd, _diag_factor, _is_diagonal
 
 __all__ = [
@@ -48,9 +48,11 @@ class GaussianEmission:
     def __init__(self, C, R):
         self.C = np.atleast_2d(np.asarray(C, dtype=float))
         self.R = np.atleast_2d(np.asarray(R, dtype=float))
+        if self.C.ndim != 2:
+            raise ShapeError(f"C must be a matrix, got shape {self.C.shape}")
         p = self.C.shape[0]
         if self.R.shape != (p, p):
-            raise CertificationError(f"R must be {p}x{p}, got {self.R.shape}")
+            raise ShapeError(f"R must be {p}x{p} (one row per row of C), got {self.R.shape}")
         _, self._chol_R, self._logdet_R = _as_spd("R", self.R)
         self.R_inv = np.linalg.inv(self.R)
         self.RinvC = self.R_inv @ self.C          # used directly by gradients
@@ -244,7 +246,8 @@ def coupling_matrix(x: np.ndarray, N: int) -> np.ndarray:
 
 
 class _NeuralBase:
-    """Shared storage/validation for the spiking-coupling families."""
+    """Shared storage/validation for the spiking-coupling families, and the
+    data their kernels derive from the spikes."""
 
     def __init__(self, N, R, rates_c=None, spikes=None):
         self.N = int(N)
@@ -274,6 +277,26 @@ class _NeuralBase:
         T, R, N = ys.shape
         return (ys.reshape(T, R * N) - self._rates_rows).reshape(T, R, N)
 
+    def _derive(self, ys):
+        """The read-only arrays the kernels take from ys alone."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def _own_data(self):
+        return self._derive(self.spikes)
+
+    def _data(self, ys):
+        """``_derive(ys)``, derived once per family for its own spikes, which
+        the objective always passes; any other ys is derived per call."""
+        return self._own_data if ys is self.spikes else self._derive(ys)
+
+    def __getstate__(self):
+        """Pickles and copies carry the spikes, never the data derived from
+        them: a segment job stays the size of its spikes."""
+        state = self.__dict__.copy()
+        state.pop("_own_data", None)
+        return state
+
     @property
     def d(self) -> int:
         return self.N * (self.N - 1) // 2
@@ -292,40 +315,49 @@ class NeuralPseudo(_NeuralBase):
     Each neuron/trial factor is exp(y z) / (1 + exp(y z)) where z is the
     local field of the neuron given the other neurons' centered spikes.
 
-    The kernels allocate little per call. ``coupling_matrix`` builds the
-    (T, N, N) coupling stack in one gather; the fields are one batched
-    matmul, divided by R in place; ``grad`` runs its tanh chain in the
-    fields' own buffer and reads each pair's sum M[i, j] + M[j, i] by two
-    flat gathers of the (T, N*N) product. Every value and gradient equals
-    the per-bin formulas bit for bit. ``log_terms`` keeps
-    ``np.logaddexp``: the branch-free form min(t, 0) - log1p(exp(-|t|))
-    is faster but differs in the last bits.
+    The kernels allocate little per call. The centred spikes and half the
+    spikes are derived once per family (``_data``); ``coupling_matrix``
+    builds the (T, N, N) coupling stack in one gather; the fields are one
+    batched matmul, divided by R in place; ``grad`` runs its tanh chain in
+    the fields' own buffer and reads each pair's sum M[i, j] + M[j, i] by
+    two flat gathers of the (T, N*N) product. ``log_terms`` takes log
+    sigmoid(t) as min(t, 0) - log1p(exp(-|t|)), which numpy vectorises and
+    which loses no bits to cancellation at large |t|.
     """
 
+    def _derive(self, ys):
+        yc, half = self._centred(ys), 0.5 * ys
+        for a in (yc, half):
+            a.setflags(write=False)
+        return yc, half
+
     def _fields(self, xs, ys):
-        """Local fields z, shape (T, R, N), and the centered spikes."""
-        yc = self._centred(ys)
-        z = np.matmul(yc, coupling_matrix(xs, self.N))
+        """Local fields z, shape (T, R, N), and ``_data(ys)``: the centred
+        spikes and half the spikes."""
+        data = self._data(ys)
+        z = np.matmul(data[0], coupling_matrix(xs, self.N))
         z /= self.R
-        return z, yc
+        return z, data
 
     def log_terms(self, xs, ys):
-        yz, _ = self._fields(xs, ys)
-        yz *= ys
-        soft = np.logaddexp(0.0, yz)
-        np.subtract(yz, soft, out=soft)
-        return np.sum(soft, axis=(1, 2))
+        t, _ = self._fields(xs, ys)
+        t *= ys
+        e = np.abs(t)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        np.log1p(e, out=e)
+        np.minimum(t, 0.0, out=t)
+        t -= e
+        return np.sum(t, axis=(1, 2))
 
     def grad(self, xs, ys):
-        D, yc = self._fields(xs, ys)
+        D, (yc, half) = self._fields(xs, ys)
         # D = ys (1 - expit(ys z)) = ys * 0.5 (1 - tanh(0.5 ys z)), by tanh
         # so that no finite field overflows; in place, in z's buffer
-        D *= ys
-        D *= 0.5
+        D *= half
         np.tanh(D, out=D)
         np.subtract(1.0, D, out=D)
-        D *= 0.5
-        D *= ys
+        D *= half
         M = np.matmul(np.swapaxes(D, 1, 2), yc).reshape(D.shape[0], -1)
         up, lo, _ = _pair_index(self.N)
         G = M[:, up]
@@ -367,17 +399,19 @@ class NeuralExact(_NeuralBase):
             out[sl] = _softmax(xs[sl] @ self._pairs.T)[0] @ self._pairs
         return out
 
-    def _suff(self, ys):
+    def _derive(self, ys):
         """Centered pair-product means over trials, shape (T, d)."""
         yc = self._centred(ys)
         M = np.matmul(np.swapaxes(yc, 1, 2), yc).reshape(yc.shape[0], -1)
-        return M[:, _pair_index(self.N)[0]] / self.R
+        suff = M[:, _pair_index(self.N)[0]] / self.R
+        suff.setflags(write=False)
+        return suff
 
     def log_terms(self, xs, ys):
-        return np.einsum("md,md->m", xs, self._suff(ys)) - self._log_normalizers(xs)
+        return np.einsum("md,md->m", xs, self._data(ys)) - self._log_normalizers(xs)
 
     def grad(self, xs, ys):
-        return self._suff(ys) - self._normalizer_grads(xs)
+        return self._data(ys) - self._normalizer_grads(xs)
 
     def sample(self, xs, rng):
         return _sample_exact_field(self, xs, rng)

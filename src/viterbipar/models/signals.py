@@ -34,11 +34,12 @@ _STATIONARY_TOL = 1e-14
 def _as_spd(name: str, M) -> tuple[np.ndarray, np.ndarray, float]:
     """Validate symmetric positive definiteness by Cholesky.
 
-    Returns (matrix, cholesky factor, log determinant).
+    Returns (matrix, cholesky factor, log determinant). A matrix that is
+    not square is a ShapeError; one that is not SPD a CertificationError.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise CertificationError(f"{name} must be square, got {M.shape}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ShapeError(f"{name} must be square, got {M.shape}")
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
         raise CertificationError(f"{name} must be symmetric")
     try:
@@ -110,7 +111,7 @@ class LinearGaussianSignal:
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         d = self.A.shape[0]
         if self.A.shape != (d, d):
-            raise CertificationError(f"A must be square, got {self.A.shape}")
+            raise ShapeError(f"A must be square, got {self.A.shape}")
         b, b0 = (np.asarray(v, dtype=float).reshape(-1) for v in (b, b0))
         if {b.size, b0.size} - {1, d}:  # a single entry broadcasts
             raise ShapeError(f"b and b0 must have 1 or {d} entries (the size of A), "
@@ -119,7 +120,8 @@ class LinearGaussianSignal:
         self.Sigma, self._chol_S, self._logdet_S = _as_spd("Sigma", Sigma)
         self.Sigma0, self._chol_S0, self._logdet_S0 = _as_spd("Sigma0", Sigma0)
         if self.Sigma.shape != (d, d) or self.Sigma0.shape != (d, d):
-            raise CertificationError("Sigma/Sigma0 dimensions do not match A")
+            raise ShapeError(f"Sigma and Sigma0 must be {d}x{d} (the size of A), "
+                             f"got {self.Sigma.shape} and {self.Sigma0.shape}")
         self.Sigma_inv = np.linalg.inv(self.Sigma)
         self.Sigma0_inv = np.linalg.inv(self.Sigma0)
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual

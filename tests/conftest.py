@@ -117,7 +117,7 @@ class ReferencePseudo(NeuralPseudo):
 
     def log_terms(self, xs, ys):
         yz = ys * self._fields(xs, ys)[0]
-        return np.sum(yz - np.logaddexp(0.0, yz), axis=(1, 2))
+        return np.sum(np.minimum(yz, 0.0) - np.log1p(np.exp(-np.abs(yz))), axis=(1, 2))
 
     def grad(self, xs, ys):
         z, yc = self._fields(xs, ys)

@@ -565,6 +565,83 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("configuration error:")
         assert "manifest.json" in lines[0] and "'files'" in lines[0]
 
+    @pytest.mark.parametrize("N, R, named", [
+        (3.7, 2, "'N' and 'R' must be integers, got N=3.7, R=2"),
+        (True, 2, "'N' and 'R' must be integers, got N=True, R=2"),
+        ("3", 2, "'N' and 'R' must be integers, got N='3', R=2"),
+        (3, 2.0, "'N' and 'R' must be integers, got N=3, R=2.0"),
+        (3, False, "'N' and 'R' must be integers, got N=3, R=False"),
+        (3, -1, "manifest lists 2 files for R=-1 (R >= 1)"),
+        (1, 2, "N=1, but the first row of trial_0.csv has 3 fields"),
+        (0, 2, "N=0, but the first row of trial_0.csv has 3 fields"),
+        (4, 2, "N=4, but the first row of trial_0.csv has 3 fields"),
+        (10 ** 30, 2, f"N={10 ** 30}, but the first row of trial_0.csv has 3 fields"),
+    ])
+    def test_spike_manifest_sizes_exit_2(self, runner, tmp_path, N, R, named):
+        # an N the rows do not have is rejected before a parse sized by N
+        manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(3, 2, 6, seed=1))
+        content = json.loads(manifest.read_text())
+        content["N"], content["R"] = N, R
+        manifest.write_text(json.dumps(content))
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=3).read_text())
+        cfg["likelihood"] = {"type": "neural_pseudo", "manifest": str(manifest)}
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "5",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"configuration error: {manifest}: ")
+        assert named in lines[0]
+
+    def test_one_neuron_bundle_reads_but_no_family_takes_it(self, runner, tmp_path):
+        manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(1, 2, 6, seed=1))
+        assert vio.read_spike_bundle(manifest)[0].shape == (6, 2, 1)
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=1).read_text())
+        cfg["likelihood"] = {"type": "neural_pseudo", "manifest": str(manifest)}
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["certify", "--model", str(tmp_path / "m.json")])
+        assert r.exit_code == 2, r.output
+        assert r.stderr.strip().splitlines() == [
+            "configuration error: need at least two neurons and one trial"]
+
+    @pytest.mark.parametrize("case, code, named", [
+        ("A", 2, "A must be square, got (2, 3)"),
+        ("Sigma", 2, "Sigma and Sigma0 must be 2x2 (the size of A), got (3, 3) and (2, 2)"),
+        ("Sigma0", 2, "Sigma and Sigma0 must be 2x2 (the size of A), got (2, 2) and (3, 3)"),
+        ("Sigma not square", 2, "Sigma must be square, got (2, 3)"),
+        ("R", 2, "R must be 2x2 (one row per row of C), got (3, 3)"),
+        ("C", 2, "R must be 1x1 (one row per row of C), got (2, 2)"),
+        ("C 3-D", 2, "C must be a matrix, got shape (1, 2, 2)"),
+        ("Sigma asymmetric", 5, "Sigma must be symmetric"),
+        ("Sigma0 not SPD", 5, "Sigma0 is not positive definite"),
+    ])
+    def test_matrix_shapes_exit_2_and_non_spd_exits_5(self, runner, tmp_path, case, code, named):
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=2).read_text())
+        sig, lik = cfg["signal"], cfg["likelihood"]
+        if case == "A":
+            sig["A"] = [[1, 0, 0], [0, 1, 0]]
+        elif case in ("Sigma", "Sigma0"):
+            sig[case] = np.eye(3).tolist()
+        elif case == "Sigma not square":
+            sig["Sigma"] = [[1, 0, 0], [0, 1, 0]]
+        elif case == "R":
+            lik["R"] = np.eye(3).tolist()
+        elif case == "C":
+            lik["C"] = [1, 1]
+        elif case == "C 3-D":
+            lik["C"] = [np.eye(2).tolist()]
+        elif case == "Sigma asymmetric":
+            sig["Sigma"] = [[1, 0.5], [0, 1]]
+        else:
+            sig["Sigma0"] = [[1, 0], [0, -1]]
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "5",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == code, r.output
+        lines = r.stderr.strip().splitlines()
+        label = "configuration error" if code == 2 else "certification error"
+        assert len(lines) == 1 and lines[0] == f"{label}: {named}"
+
     def test_negative_horizon_exits_2(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")
         r = runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "-1",

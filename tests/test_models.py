@@ -1,13 +1,15 @@
 """Model families: local gradients, bookkeeping quantities, simulation."""
 
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from scipy import stats
-from scipy.special import expit, logsumexp, ndtr, softmax
+from scipy.special import expit, log_expit, logsumexp, ndtr, softmax
 
 from viterbipar import (
     GammaWeight,
@@ -365,7 +367,7 @@ class TestBatchedKernels:
             yc = spikes[m] - lik.rates_c
             z = (yc @ _coupling_loop(xs[m], N)) / R
             yz = spikes[m] * z
-            want_val[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
+            want_val[m] = float(np.sum(np.minimum(yz, 0.0) - np.log1p(np.exp(-np.abs(yz)))))
             D = spikes[m] * (0.5 * (1.0 - np.tanh(0.5 * (spikes[m] * z))))
             M = D.T @ yc
             want_grad[m] = (M + M.T)[iu] / R
@@ -459,7 +461,7 @@ def _pseudo_per_bin(lik, xs, spikes):
         yc = spikes[m] - lik.rates_c
         z = (yc @ _coupling_loop(xs[m], N)) / R
         yz = spikes[m] * z
-        val[m] = float(np.sum(yz - np.logaddexp(0.0, yz)))
+        val[m] = float(np.sum(np.minimum(yz, 0.0) - np.log1p(np.exp(-np.abs(yz)))))
         D = spikes[m] * (0.5 * (1.0 - np.tanh(0.5 * (spikes[m] * z))))
         M = D.T @ yc
         grad[m] = (M + M.T)[iu] / R
@@ -565,6 +567,21 @@ class TestScipyReferences:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * max(1.0, np.max(np.abs(want))))
 
     @pytest.mark.parametrize("scale", [0.5, 800.0])
+    def test_neural_pseudo_log_terms_match_log_expit(self, rng, scale):
+        # two neurons that always spike, centred at 1/2, in one trial: both
+        # fields are x/2, so each bin's value is exactly twice its one term
+        # log sigmoid(x/2); t - logaddexp(0, t) cancels to relative error 1
+        # at large positive t
+        N, R, T = 2, 1, 400
+        spikes = np.ones((T, R, N))
+        lik = NeuralPseudo(N, R, rates_c=np.full(N, 0.5), spikes=spikes)
+        xs = scale * rng.standard_normal((T, lik.d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = 0.5 * lik.log_terms(xs, spikes)
+        np.testing.assert_allclose(got, log_expit(0.5 * xs[:, 0]), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scale", [0.5, 800.0])
     def test_neural_exact_matches_logsumexp_and_softmax(self, rng, scale):
         N, R, T = 5, 3, 30
         spikes = random_spikes(N, R, T, seed=32)
@@ -613,6 +630,65 @@ class TestScipyReferences:
 
         assert cdf(-c) + (1.0 - cdf(c)) == pytest.approx(2 * math.exp(-0.5 * c) / Z, rel=1e-12)
         assert stats.kstest(w, cdf).pvalue > 1e-3
+
+
+class TestSpikeData:
+    """The data a spiking family derives from its own spikes once: used
+    only for those spikes, never pickled or copied, and never written."""
+
+    FAMILIES = [NeuralPseudo, NeuralExact]
+
+    @staticmethod
+    def _kernels(lik, xs, ys):
+        return lik.log_terms(xs, ys).tobytes(), lik.grad(xs, ys).tobytes()
+
+    @pytest.mark.parametrize("cls", FAMILIES)
+    def test_foreign_spikes_match_a_family_built_on_them(self, rng, cls):
+        N, R, T = 5, 4, 30
+        spikes = random_spikes(N, R, T, seed=51)
+        lik = cls(N, R, spikes=spikes)
+        xs = rng.standard_normal((T, lik.d))
+        own = self._kernels(lik, xs, spikes)
+        for ys in (spikes.copy(), random_spikes(N, R, T, seed=52), spikes[: T // 2]):
+            fresh = cls(N, R, rates_c=lik.rates_c, spikes=ys)
+            assert self._kernels(lik, xs[: ys.shape[0]], ys) == self._kernels(fresh, xs[: ys.shape[0]], ys)
+        assert self._kernels(lik, xs, spikes) == own
+
+    @pytest.mark.parametrize("cls", FAMILIES)
+    def test_kernels_write_neither_spikes_nor_derived_data(self, rng, cls):
+        spikes = random_spikes(4, 3, 20, seed=53)
+        before = spikes.tobytes()
+        lik = cls(4, 3, spikes=spikes)
+        xs = rng.standard_normal((20, lik.d))
+        first = self._kernels(lik, xs, spikes)
+        lik.log_terms(xs, spikes)[:] = 7.0
+        lik.grad(xs, spikes)[:] = 7.0
+        assert self._kernels(lik, xs, spikes) == first
+        assert lik.spikes is spikes and lik.spikes.dtype == np.float64
+        assert lik.spikes.tobytes() == before
+
+    @pytest.mark.parametrize("cls", FAMILIES)
+    def test_pickles_and_copies_carry_no_derived_data(self, rng, cls):
+        N, R, T = 6, 20, 80
+        spikes = random_spikes(N, R, T, seed=54)
+        never = cls(N, R, spikes=spikes)
+        size = len(pickle.dumps(never))
+        lik = cls(N, R, spikes=spikes)
+        xs = rng.standard_normal((T, lik.d))
+        want = self._kernels(lik, xs, spikes)
+        assert len(pickle.dumps(lik)) == size
+        back = pickle.loads(pickle.dumps(lik))
+        assert self._kernels(back, xs, back.spikes) == want
+        assert back.spikes.dtype == np.float64 and back.spikes.tobytes() == spikes.tobytes()
+        model = ModelSpec(lg_signal(d=lik.d, a=0.5), cls(N, R, spikes=spikes))
+        job = WindowedObjective(model, (10, 49), "full-prior")
+        job_size = len(pickle.dumps(job))
+        job.value(xs[10:50])
+        job.grad(xs[10:50])
+        assert len(pickle.dumps(job)) == job_size
+        twin = copy.copy(lik)
+        assert twin.spikes is spikes and len(pickle.dumps(twin)) == size
+        assert self._kernels(twin, xs, spikes) == want
 
 
 class TestModelSpecPrefix:

@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, and the runtime needs no scipy."""
 
 import ast
+import contextlib
 import importlib
 import os
 import subprocess
@@ -64,3 +65,53 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in read and name not in exported]
     assert unused == []
+
+
+def test_library_has_every_name_the_benchmark_reads():
+    # bench/ is run as committed against each version of the library, so a
+    # name it reads must not go: module attributes through its import
+    # aliases, ``from viterbipar... import`` names, and the family methods
+    # that ``traced_model`` wraps in spans
+    from viterbipar.models import likelihoods, signals
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    missing, aliases, wrapped = [], set(), set()
+
+    def check(owner, name):
+        if not hasattr(owner, name):
+            missing.append(f"{owner.__name__}.{name}")
+        return getattr(owner, name, None)
+
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}  # this file's names for viterbipar modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "viterbipar":
+                        module = importlib.import_module(alias.name)
+                        # ``import a.b`` binds a, ``import a.b as c`` binds a.b
+                        modules[alias.asname or "viterbipar"] = module if alias.asname else viterbipar
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "viterbipar":
+                for alias in node.names:
+                    with contextlib.suppress(ImportError):  # a submodule is bound once imported
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    value = check(importlib.import_module(node.module), alias.name)
+                    if isinstance(value, type(viterbipar)):
+                        modules[alias.asname or alias.name] = value
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                check(modules[node.value.id], node.attr)
+            elif isinstance(node, ast.FunctionDef) and node.name == "traced_model":
+                wrapped |= {(call.args[1].value.id, call.args[1].attr) for call in ast.walk(node)
+                            if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "wrap"}
+        aliases |= set(modules)
+    families = {"sig": (signals.LinearGaussianSignal, signals.HuberNonlinearSignal),
+                "lik": tuple(getattr(likelihoods, name) for name in likelihoods.__all__
+                             if isinstance(getattr(likelihoods, name), type))}
+    for var, method in wrapped:
+        for cls in families[var]:
+            check(cls, method)
+    assert {"vp", "vio"} <= aliases and len(wrapped) == 4
+    assert missing == []
