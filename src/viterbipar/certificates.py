@@ -22,7 +22,9 @@ which is reported in the docstrings of the evaluators).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -404,6 +406,13 @@ def segment_overlap_error_bound(
 # Empirical verification
 # ---------------------------------------------------------------------------
 
+# Each sampled path is paired with at most this many paths drawn just before
+# it at the same scale. Once the window is full, one new path and gradient
+# serve this many pairs, and only this many earlier paths are held, so memory
+# does not grow with ``trials``.
+_PAIR_WINDOW = 3
+
+
 @dataclass
 class SlackReport:
     """Worst observed strong-monotonicity slack over sampled path pairs."""
@@ -412,6 +421,16 @@ class SlackReport:
     trials: int
     gamma: float
     lam: float
+
+
+def _pair_slack(x, gx, y, gy, weights, lam) -> float:
+    """The slack of one path pair. Its differences die on return, so they
+    are not held while the next path's gradient is evaluated."""
+    dx = x - y
+    dg = gx - gy
+    inner = float(np.einsum("md,md->m", dx, dg) @ weights)
+    sq = float(np.einsum("md,md->m", dx, dx) @ weights)
+    return inner - lam * sq
 
 
 def empirical_decay_convexity(
@@ -424,6 +443,16 @@ def empirical_decay_convexity(
 ) -> SlackReport:
     """Sample random path pairs and report the minimum of
     <x - x', gradU(x) - gradU(x')>_gamma - lambda |x - x'|_gamma^2.
+
+    The ``trials`` pairs are split over the path scales 0.1, 1 and 10
+    (``len(range(s, trials, 3))`` pairs at the s-th). Paths are shared
+    across pairs: each N(0, scale^2 I) path is drawn and its gradient
+    evaluated once, then paired with each of the (up to)
+    ``_PAIR_WINDOW`` = 3 paths drawn just before it at its scale until
+    that scale's pairs are done. Every pair is still two independent
+    paths. A scale with p >= 3 pairs draws ceil(p/3) + 2 paths and
+    evaluates as many gradients: 87 for 240 trials, against 480 for
+    disjoint pairs.
 
     Nonnegative (up to roundoff) whenever the certificate is valid; a
     negative minimum is reported, not asserted, so deliberately broken
@@ -442,15 +471,14 @@ def empirical_decay_convexity(
     weights = gamma_weights(n_blocks, gamma)
     scales = (0.1, 1.0, 10.0)
     min_slack = math.inf
-    for t in range(trials):
-        scale = scales[t % len(scales)]
-        xs = rng.standard_normal((n_blocks, d)) * scale
-        ys = rng.standard_normal((n_blocks, d)) * scale
-        dx = xs - ys
-        dg = grad_U(xs) - grad_U(ys)
-        inner = float(np.einsum("md,md->m", dx, dg) @ weights)
-        sq = float(np.einsum("md,md->m", dx, dx) @ weights)
-        slack = inner - lam * sq
-        if slack < min_slack:
-            min_slack = slack
+    for s, scale in enumerate(scales):
+        pairs = len(range(s, trials, len(scales)))
+        earlier = deque(maxlen=_PAIR_WINDOW)  # (path, gradient), oldest first
+        while pairs > 0:
+            xs = rng.standard_normal((n_blocks, d)) * scale
+            gx = grad_U(xs)
+            for ys, gy in itertools.islice(earlier, pairs):
+                min_slack = min(min_slack, _pair_slack(xs, gx, ys, gy, weights, lam))
+            pairs -= min(pairs, len(earlier))
+            earlier.append((xs, gx))
     return SlackReport(min_slack=min_slack, trials=trials, gamma=gamma, lam=lam)

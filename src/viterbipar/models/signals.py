@@ -31,15 +31,21 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _STATIONARY_TOL = 1e-14
 
 
+def _square(name: str, M) -> np.ndarray:
+    """M as a float matrix; one that is not square is a ShapeError."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ShapeError(f"{name} must be square, got {M.shape}")
+    return M
+
+
 def _as_spd(name: str, M) -> tuple[np.ndarray, np.ndarray, float]:
     """Validate symmetric positive definiteness by Cholesky.
 
     Returns (matrix, cholesky factor, log determinant). A matrix that is
     not square is a ShapeError; one that is not SPD a CertificationError.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ShapeError(f"{name} must be square, got {M.shape}")
+    M = _square(name, M)
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
         raise CertificationError(f"{name} must be symmetric")
     try:
@@ -117,11 +123,14 @@ class LinearGaussianSignal:
             raise ShapeError(f"b and b0 must have 1 or {d} entries (the size of A), "
                              f"got {b.size} and {b0.size}")
         self.b, self.b0 = np.broadcast_to(b, (d,)).copy(), np.broadcast_to(b0, (d,)).copy()
+        # sizes before _as_spd's symmetry and Cholesky tests, so that a
+        # wrong-sized matrix is a ShapeError whatever its entries
+        Sigma, Sigma0 = _square("Sigma", Sigma), _square("Sigma0", Sigma0)
+        if Sigma.shape != (d, d) or Sigma0.shape != (d, d):
+            raise ShapeError(f"Sigma and Sigma0 must be {d}x{d} (the size of A), "
+                             f"got {Sigma.shape} and {Sigma0.shape}")
         self.Sigma, self._chol_S, self._logdet_S = _as_spd("Sigma", Sigma)
         self.Sigma0, self._chol_S0, self._logdet_S0 = _as_spd("Sigma0", Sigma0)
-        if self.Sigma.shape != (d, d) or self.Sigma0.shape != (d, d):
-            raise ShapeError(f"Sigma and Sigma0 must be {d}x{d} (the size of A), "
-                             f"got {self.Sigma.shape} and {self.Sigma0.shape}")
         self.Sigma_inv = np.linalg.inv(self.Sigma)
         self.Sigma0_inv = np.linalg.inv(self.Sigma0)
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual

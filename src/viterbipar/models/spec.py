@@ -78,9 +78,11 @@ class ModelSpec:
         d = self.signal.dim
         want = self.likelihood.state_dim()
         if want is not None and want != d:
-            raise ShapeError(
-                f"likelihood expects state dimension {want}, signal has {d}"
-            )
+            lik = self.likelihood
+            what = (f"C has {want} columns" if isinstance(lik, GaussianEmission)
+                    else f"B has {want} rows" if isinstance(lik, StochVolFactor)
+                    else f"{lik.N} neurons need state dimension {want}")
+            raise ShapeError(f"{type(lik).__name__}: {what}, the signal's state dimension is {d}")
         if self.observations is None and isinstance(self.likelihood, _NEURAL):
             self.observations = self.likelihood.spikes
         if self.observations is not None:

@@ -1,6 +1,7 @@
 """Shared model builders, reference norms, reference local gradients and
-fields, reference spike-coupling kernels, and the csv-module writers and
-readers that the bulk CSV I/O must match, for the test suite."""
+fields, reference spike-coupling kernels, a reference decay-convexity
+sampler, and the csv-module writers and readers that the bulk CSV I/O
+must match, for the test suite."""
 
 import csv
 import json
@@ -26,6 +27,7 @@ from viterbipar import (
 )
 from viterbipar.core import gamma_weights
 from viterbipar.errors import ConfigError, ShapeError
+from viterbipar.objective import FullObjective
 
 
 def gamma_inner(x, y, w):
@@ -159,6 +161,35 @@ def neural_pseudo_field(lik, x_n, index_n, trial_k):
     if not 0 <= trial_k < lik.R:
         raise IndexError(f"trial index {trial_k} outside 0..{lik.R - 1}")
     return pseudo_fields(lik, x_n, lik.spikes[index_n])[trial_k]
+
+
+def reference_decay_convexity_slack(model, trials, seed, gamma, lam, window=3):
+    """(min_slack, gradient calls) of ``empirical_decay_convexity`` written
+    plainly: each scale's paths are drawn into a list first, then the pairs
+    (i, j) with i - window <= j < i are enumerated in order and the scale's
+    share of ``trials`` is taken from the front."""
+    grad = FullObjective(model).grad
+    rng = np.random.default_rng(seed)
+    n_blocks, d = model.horizon + 1, model.dim
+    weights = gamma_weights(n_blocks, gamma)
+    scales = (0.1, 1.0, 10.0)
+    slacks, calls = [], 0
+    for s, scale in enumerate(scales):
+        share = len(range(s, trials, len(scales)))
+        count = 0
+        while sum(min(i, window) for i in range(count)) < share:
+            count += 1
+        paths = [rng.standard_normal((n_blocks, d)) * scale for _ in range(count)]
+        grads = [grad(x) for x in paths]
+        calls += count
+        pairs = [(i, j) for i in range(count) for j in range(max(0, i - window), i)]
+        for i, j in pairs[:share]:
+            dx = paths[i] - paths[j]
+            dg = grads[i] - grads[j]
+            inner = float(np.einsum("md,md->m", dx, dg) @ weights)
+            sq = float(np.einsum("md,md->m", dx, dx) @ weights)
+            slacks.append(inner - lam * sq)
+    return min(slacks), calls
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,9 @@ import scipy.linalg
 
 from viterbipar import (
     GammaWeight,
+    GaussianEmission,
+    LinearGaussianSignal,
+    ModelSpec,
     alpha_gamma_n,
     beta_m,
     certify_huber,
@@ -26,7 +29,15 @@ from viterbipar.certificates import DecayConvexityCertificate, GammaInterval
 from viterbipar.core import gamma_weights
 from viterbipar.errors import CertificationError
 
-from conftest import gamma_inner, gaussian_model, gaussian_model_with_obs, huber_signal, lg_signal
+from conftest import (
+    gamma_inner,
+    gaussian_model,
+    gaussian_model_with_obs,
+    huber_signal,
+    lg_signal,
+    neural_model,
+    reference_decay_convexity_slack,
+)
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0  # 0.3819660112501051
 
@@ -414,3 +425,100 @@ class TestEmpiricalDecayConvexity:
         cert = _bound_cert(gamma, lam_set)
         report = empirical_decay_convexity(model, cert, trials=50, seed=7)
         assert math.isfinite(report.min_slack)
+
+
+def _slack_model(kind):
+    """Small models for the sampler: two signals by two likelihoods."""
+    if kind == "lg-gaussian":
+        return gaussian_model(d=2, n=12, seed=3)
+    if kind == "huber-gaussian":
+        rng = np.random.default_rng(8)
+        return ModelSpec(huber_signal(d=2), GaussianEmission(np.eye(2), np.eye(2)),
+                         observations=rng.standard_normal((13, 2)))
+    signal = lg_signal(d=3, a=0.4) if kind == "lg-pseudo" else huber_signal(d=3)
+    return neural_model(N=3, R=2, n=10, signal=signal)
+
+
+class TestSharedPathSampler:
+    """Each path is drawn and differentiated once and paired with the
+    (up to) three paths drawn just before it at its scale."""
+
+    @pytest.mark.parametrize("trials", [1, 2, 4, 240])
+    @pytest.mark.parametrize("kind", ["lg-gaussian", "lg-pseudo", "huber-gaussian", "huber-pseudo"])
+    def test_matches_plain_reference_bit_for_bit(self, kind, trials):
+        model = _slack_model(kind)
+        gamma, lam = 0.8, 0.3
+        report = empirical_decay_convexity(model, _bound_cert(gamma, lam), trials=trials, seed=17)
+        ref, _ = reference_decay_convexity_slack(model, trials, 17, gamma, lam)
+        assert report.min_slack.hex() == ref.hex()
+
+    @pytest.mark.parametrize("trials, calls", [(1, 2), (2, 4), (4, 7), (240, 87)])
+    def test_gradient_calls(self, monkeypatch, trials, calls):
+        import viterbipar.certificates as certificates
+
+        counted = []
+
+        class Counting(certificates.FullObjective):
+            def grad(self, xs):
+                counted.append(1)
+                return super().grad(xs)
+
+        monkeypatch.setattr(certificates, "FullObjective", Counting)
+        model = _slack_model("lg-gaussian")
+        empirical_decay_convexity(model, _bound_cert(0.8, 0.3), trials=trials, seed=2)
+        assert len(counted) == calls
+        assert reference_decay_convexity_slack(model, trials, 2, 0.8, 0.3)[1] == calls
+
+    @pytest.mark.parametrize("trials", [1, 2, 4, 240])
+    def test_report_counts_pairs_and_is_seeded(self, trials):
+        model = _slack_model("huber-pseudo")
+        cert = _bound_cert(0.6, 0.1)
+        first = empirical_decay_convexity(model, cert, trials=trials, seed=4)
+        again = empirical_decay_convexity(model, cert, trials=trials, seed=4)
+        assert first.trials == trials
+        assert (first.gamma, first.lam) == (0.6, 0.1)
+        assert first.min_slack.hex() == again.min_slack.hex()
+        other = empirical_decay_convexity(model, cert, trials=trials, seed=5)
+        assert other.min_slack != first.min_slack
+
+    def test_flips_at_the_weighted_spectrum_edges(self):
+        # quadratic model: gradU(x) - gradU(y) = H (x - y), so every pair's
+        # slack is a Rayleigh quotient of sym(D H) - lambda D, negative for
+        # lambda above the largest generalized eigenvalue and positive below
+        # the least
+        from test_objective import assemble_gaussian_hessian
+
+        signal = LinearGaussianSignal([[0.5, 0.2], [-0.1, 0.3]], [0.0, 0.0],
+                                      [[1.0, 0.3], [0.3, 0.8]], [0.0, 0.0], np.eye(2))
+        lik = GaussianEmission([[1.0, 0.5]], [[0.5]])
+        model = ModelSpec(signal, lik, observations=np.random.default_rng(1).standard_normal((9, 1)))
+        gamma = 0.7
+        H = assemble_gaussian_hessian(model)
+        dw = np.repeat(gamma_weights(9, gamma), 2)
+        M = 0.5 * (dw[:, None] * H + H.T * dw[None, :])
+        mu = np.linalg.eigvalsh(M / np.sqrt(np.outer(dw, dw)))
+        assert mu[0] > 0
+        above = empirical_decay_convexity(model, _bound_cert(gamma, mu[-1] * (1 + 1e-6)), 240, seed=9)
+        below = empirical_decay_convexity(model, _bound_cert(gamma, mu[0] * (1 - 1e-6)), 240, seed=9)
+        assert above.min_slack < 0
+        assert below.min_slack >= 0
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        # numpy reports its buffers to tracemalloc; a sampler that kept every
+        # path of a scale would hold ~29 of them at 240 trials against 4 at 12
+        import tracemalloc
+
+        model = gaussian_model(d=10, n=1999, seed=5)
+        cert = _bound_cert(0.9, 0.5)
+        empirical_decay_convexity(model, cert, trials=1, seed=1)  # first-call caches
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                empirical_decay_convexity(model, cert, trials=trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(12), peak(240)
+        assert large <= 1.1 * small, (small, large)

@@ -612,6 +612,8 @@ class TestCli:
         ("R", 2, "R must be 2x2 (one row per row of C), got (3, 3)"),
         ("C", 2, "R must be 1x1 (one row per row of C), got (2, 2)"),
         ("C 3-D", 2, "C must be a matrix, got shape (1, 2, 2)"),
+        ("Sigma 3x3 asymmetric", 2, "Sigma and Sigma0 must be 2x2 (the size of A), got (3, 3) and (2, 2)"),
+        ("C columns", 2, "GaussianEmission: C has 3 columns, the signal's state dimension is 2"),
         ("Sigma asymmetric", 5, "Sigma must be symmetric"),
         ("Sigma0 not SPD", 5, "Sigma0 is not positive definite"),
     ])
@@ -624,6 +626,10 @@ class TestCli:
             sig[case] = np.eye(3).tolist()
         elif case == "Sigma not square":
             sig["Sigma"] = [[1, 0, 0], [0, 1, 0]]
+        elif case == "Sigma 3x3 asymmetric":
+            sig["Sigma"] = [[1, 0.5, 0], [0, 1, 0], [0, 0, 1]]
+        elif case == "C columns":
+            lik["C"] = [[1, 0, 0], [0, 1, 0]]
         elif case == "R":
             lik["R"] = np.eye(3).tolist()
         elif case == "C":

@@ -762,6 +762,20 @@ class TestObservationShape:
         with pytest.raises(ShapeError, match="StochVolFactor"):
             ModelSpec(model.signal, model.likelihood, observations=np.ones((6, 3)))
 
+    def test_state_dimension_mismatch_names_the_family(self):
+        cases = [
+            (GaussianEmission(np.ones((2, 3)), np.eye(2)),
+             "GaussianEmission: C has 3 columns, the signal's state dimension is 2"),
+            (stochvol_model(d=3).likelihood,
+             "StochVolFactor: B has 3 rows, the signal's state dimension is 2"),
+            (neural_model(N=3).likelihood,
+             "NeuralPseudo: 3 neurons need state dimension 3, the signal's state dimension is 2"),
+        ]
+        for lik, line in cases:
+            with pytest.raises(ShapeError) as info:
+                ModelSpec(lg_signal(d=2), lik)
+            assert str(info.value) == line
+
     def test_spiking_families_need_trials_by_neurons(self):
         model = neural_model(N=3, R=2, n=5)
         assert model.observations.shape == (6, 2, 3)
