@@ -55,7 +55,7 @@ from .certificates import (
     segment_overlap_error_bound,
     empirical_decay_convexity,
 )
-from .oracles import rts_smoother, finite_diff_grad, exact_neural_normalizer
+from .oracles import rts_smoother, finite_diff_grad
 
 __version__ = "0.1.0"
 
@@ -104,5 +104,4 @@ __all__ = [
     "empirical_decay_convexity",
     "rts_smoother",
     "finite_diff_grad",
-    "exact_neural_normalizer",
 ]

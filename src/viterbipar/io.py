@@ -283,7 +283,8 @@ def _build_signal(cfg, base_dir):
         b = _arr(cfg, "b", "signal")
         if dkind == "linear":
             drift = LinearDrift(_arr(drift_cfg, "M", "drift_map"))
-            if drift.M.shape != (b.size,) * 2:
+            # a b that is not a nonempty vector is the signal's ShapeError below
+            if b.ndim == 1 and b.size and drift.M.shape != (b.size,) * 2:
                 raise ConfigError(f"drift_map: field 'M' has shape {drift.M.shape}, expected "
                                   f"{b.size}x{b.size} for the {b.size} entries of 'b'")
         elif dkind == "tanh":

@@ -251,16 +251,33 @@ class LinearGaussianSignal:
 # Huber-noise nonlinear signal
 # ---------------------------------------------------------------------------
 
+def _twice_c_huber(a: np.ndarray, c: float) -> np.ndarray:
+    """Overwrite magnitudes a = |t| with 2c huber(t, c) = m (2a - m),
+    m = min(a, c), and return them: the penalty without masks."""
+    m = np.minimum(a, c)
+    a *= 2.0
+    a -= m
+    a *= m
+    return a
+
+
 def huber(t: np.ndarray, c: float) -> np.ndarray:
-    """Quadratic core / linear tail penalty: t^2/(2c) inside |t| <= c, |t| - c/2 outside."""
-    t = np.asarray(t, dtype=float)
-    a = np.abs(t)
-    return np.where(a <= c, t * t / (2.0 * c), a - 0.5 * c)
+    """Quadratic core / linear tail penalty: t^2/(2c) inside |t| <= c, |t| - c/2 outside.
+
+    Computed without masks as m (2|t| - m) / (2c) with m = min(|t|, c).
+    The core takes the same bits as t^2/(2c) (2|t| - |t| is exact); the
+    tail is within an ulp of |t| - c/2, and the same bits at c = 1.
+    NaN stays NaN and +-inf gives inf; 2|t| overflows above 2^1023.
+    """
+    a = _twice_c_huber(np.abs(np.asarray(t, dtype=float)), c)
+    a /= 2.0 * c
+    return a
 
 
 def huber_grad(t: np.ndarray, c: float) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    return np.where(np.abs(t) <= c, t / c, np.sign(t))
+    """The penalty's derivative t/c clipped to [-1, 1]: the same bits as
+    t/c inside |t| <= c and sign(t) outside, at +-0, +-c, +-inf and NaN too."""
+    return np.clip(np.asarray(t, dtype=float) / c, -1.0, 1.0)
 
 
 def _huber_masses(c: float) -> tuple[float, float]:
@@ -312,9 +329,15 @@ class LinearDrift:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.M.T if x.ndim == 2 else self.M @ x
 
+    def linearize(self, xs: np.ndarray, out: np.ndarray):
+        """Write the drift of a stack of points into ``out`` and return the
+        pullback v -> rows v_m' J(x_m)."""
+        np.matmul(xs, self.M.T, out=out)
+        return lambda v: v @ self.M
+
     def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
-        return v @ self.M
+        return self.linearize(xs, np.empty(xs.shape))(v)
 
 
 @dataclass(frozen=True)
@@ -324,11 +347,33 @@ class TanhDrift:
     scale: float = 0.5
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.scale * np.tanh(x)
+        A = np.tanh(x)
+        A *= self.scale
+        return A
+
+    def linearize(self, xs: np.ndarray, out: np.ndarray):
+        """Write the drift of a stack of points into ``out`` and return the
+        pullback v -> rows v_m' J(x_m), from one tanh.
+
+        J(x) is diag(scale sech^2 x) with sech^2 = 1 - tanh^2, which is
+        exactly zero where tanh rounds to +-1 (cosh overflows from about
+        |x| = 711). The pullback works in the tanh's own array, so it is
+        called at most once.
+        """
+        t = np.tanh(xs)
+        np.multiply(t, self.scale, out=out)
+
+        def pullback(v):
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(t, self.scale, out=t)
+            return np.multiply(t, v, out=t)
+
+        return pullback
 
     def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
-        return v * (self.scale / np.cosh(xs) ** 2)
+        return self.linearize(xs, np.empty(xs.shape))(v)
 
 
 @dataclass
@@ -336,10 +381,13 @@ class HuberNonlinearSignal:
     """x_m = A(x_{m-1}) + b + w_m with Huber-tailed noise, mu proportional
     to exp(-psi0(x)) with the same Huber penalty.
 
-    ``drift_map`` is called on a point or an (m, d) stack of points, and
-    gives the vector-Jacobian products ``vjp(xs, v)`` of a stack (see
-    ``LinearDrift`` and ``TanhDrift``); nothing else of it is used. The
-    length of the offset ``b`` is the state dimension.
+    ``drift_map`` is called on a point or an (m, d) stack of points and
+    returns a fresh array, which the kernels overwrite;
+    ``linearize(xs, out)`` writes the drift of a stack into ``out`` and
+    returns the pullback v -> rows v_m' J(x_m), from one evaluation;
+    ``vjp(xs, v)`` applies that pullback (see ``LinearDrift`` and
+    ``TanhDrift``). Nothing else of it is used. The offset ``b`` is a
+    nonempty vector whose length is the state dimension.
     ``lipschitz_bounds`` is (L_psi, L_grad_psi, L_A, L_grad_A): a bound on
     the noise-penalty gradient norm, its Lipschitz constant, the drift
     Jacobian operator norm and the Jacobian's Lipschitz constant. The
@@ -352,7 +400,9 @@ class HuberNonlinearSignal:
     lipschitz_bounds: tuple[float, float, float, float]
 
     def __post_init__(self):
-        self.b = np.array(self.b, dtype=float).reshape(-1)
+        self.b = np.array(self.b, dtype=float)
+        if self.b.ndim != 1 or not self.b.size:
+            raise ShapeError(f"b must be a nonempty vector, got shape {self.b.shape}")
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         c = float(self.huber_c)
         if c <= 0:
@@ -389,15 +439,14 @@ class HuberNonlinearSignal:
     def dim(self) -> int:
         return self.b.shape[0]
 
-    def _drift(self, xs: np.ndarray) -> np.ndarray:
-        out = self.drift_map(xs)
-        return np.asarray(out, dtype=float)
-
     def log_mu(self, x0: np.ndarray) -> float:
         return -float(np.sum(huber(x0, self.huber_c))) - self._log_z
 
     def residuals(self, xs: np.ndarray) -> np.ndarray:
-        W = xs[1:] - self._drift(xs[:-1])
+        """Transition residuals w_m = x_m - A(x_{m-1}) - b for m = 1..n,
+        computed in the drift's fresh array."""
+        W = self.drift_map(xs[:-1])
+        np.subtract(xs[1:], W, out=W)
         if self._b_nonzero:
             W -= self.b
         return W
@@ -407,15 +456,32 @@ class HuberNonlinearSignal:
         if n == 0:
             return 0.0
         W = self.residuals(xs)
-        return -float(np.sum(huber(W, self.huber_c))) - n * self._log_z
+        np.abs(W, out=W)
+        return -float(np.sum(_twice_c_huber(W, self.huber_c))) / (2.0 * self.huber_c) - n * self._log_z
 
     def grad_log_transitions(self, xs: np.ndarray) -> np.ndarray:
-        G = np.zeros_like(xs)
-        if xs.shape[0] > 1:
-            W = self.residuals(xs)
-            gpsi = huber_grad(W, self.huber_c)
-            G[1:] -= gpsi
-            G[:-1] += self.drift_map.vjp(xs[:-1], gpsi)
+        """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term):
+        -psi'(w_m) on block m, J(x_{m-1})' psi'(w_m) added on block m - 1.
+
+        The drift writes A(x_{m-1}) straight into block m, which becomes
+        A(x_{m-1}) + b - x_m = -w_m exactly (rounding is symmetric in
+        sign), then -psi'(w_m) = clip(-w_m / c, -1, 1) in place. The
+        drift's pullback of that is subtracted from block m - 1: the same
+        bits as adding J' psi'(w_m). Besides G, only the drift's scratch is
+        allocated.
+        """
+        G = np.empty_like(xs, dtype=float)
+        G[0] = 0.0
+        if xs.shape[0] == 1:
+            return G
+        V = G[1:]
+        pullback = self.drift_map.linearize(xs[:-1], V)
+        V -= xs[1:]
+        if self._b_nonzero:
+            V += self.b
+        V /= self.huber_c
+        np.clip(V, -1.0, 1.0, out=V)
+        G[:-1] -= pullback(V)
         return G
 
     def grad_log_mu(self, x0: np.ndarray) -> np.ndarray:

@@ -1,28 +1,23 @@
 """Independent reference computations.
 
 These are verification tools, not production solvers: an exact smoother
-for the conjugate model (whose posterior mean equals the MAP path), a
-central-difference gradient, and the enumerated normalizer of the exact
-spiking family. The CLI ``verify`` command runs the first two against
+for the conjugate model (whose posterior mean equals the MAP path) and a
+central-difference gradient. The CLI ``verify`` command runs both against
 user models.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 from .core import PathVector
 from .errors import ShapeError, UnsupportedModeError
-from .models.likelihoods import GaussianEmission, NeuralExact
+from .models.likelihoods import GaussianEmission
 from .models.signals import LinearGaussianSignal
 
 __all__ = [
     "rts_smoother",
     "finite_diff_grad",
-    "exact_neural_normalizer",
 ]
 
 
@@ -93,27 +88,3 @@ def finite_diff_grad(objective, x: PathVector, epsilon: float = 1e-6) -> PathVec
             work[m, i] = orig
             grad[m, i] = (f_plus - f_minus) / (2.0 * epsilon)
     return PathVector(grad)
-
-
-def exact_neural_normalizer(model: NeuralExact, x_n) -> float:
-    """Log of the sum over all 2^N spike configurations s of the exponential
-    pairwise energy sum_{i<j} x_ij (s_i - c_i)(s_j - c_j), with c the
-    centering rates and x_n holding x_01, x_02, ..., x_12, ... in
-    row-major upper-triangle order. This makes the exact spiking
-    likelihood a proper probability over configurations. The sum is
-    enumerated here term by term, apart from the family's own kernels, so
-    it serves as their reference.
-    """
-    if not isinstance(model, NeuralExact):
-        raise UnsupportedModeError("exact normalizer is defined for the NeuralExact family")
-    x = np.asarray(x_n, dtype=float).reshape(-1).tolist()
-    if len(x) != model.d:
-        raise ShapeError(f"coupling vector must have length N(N-1)/2 = {model.d}")
-    rates = model.rates_c.tolist()
-    pairs = list(itertools.combinations(range(model.N), 2))
-    energies = []
-    for s in itertools.product((0.0, 1.0), repeat=model.N):
-        sc = [s_i - c_i for s_i, c_i in zip(s, rates)]
-        energies.append(math.fsum(x_ij * sc[i] * sc[j] for x_ij, (i, j) in zip(x, pairs)))
-    top = max(energies)
-    return top + math.log(math.fsum(math.exp(e - top) for e in energies))

@@ -1,9 +1,11 @@
 """Shared model builders, reference norms, reference local gradients and
-fields, reference spike-coupling kernels, a reference decay-convexity
-sampler, and the csv-module writers and readers that the bulk CSV I/O
-must match, for the test suite."""
+fields, reference spike-coupling kernels, the enumerated normalizer of
+the exact spiking family, a reference decay-convexity sampler, and the
+csv-module writers and readers that the bulk CSV I/O must match, for the
+test suite."""
 
 import csv
+import itertools
 import json
 import math
 from pathlib import Path
@@ -137,6 +139,26 @@ def normalizer_grad(lik, x_n):
     """Gradient of a NeuralExact log normalizer at one coupling vector: the
     centered pair-product mean under the configuration distribution."""
     return lik._normalizer_grads(np.asarray(x_n, dtype=float)[None])[0]
+
+
+def exact_neural_normalizer(model, x_n) -> float:
+    """Log of the sum over all 2^N spike configurations s of the exponential
+    pairwise energy sum_{i<j} x_ij (s_i - c_i)(s_j - c_j), with c the
+    centering rates and x_n holding x_01, x_02, ..., x_12, ... in
+    row-major upper-triangle order: the normalizer of a NeuralExact
+    family, enumerated term by term apart from the family's own kernels.
+    """
+    x = np.asarray(x_n, dtype=float).reshape(-1).tolist()
+    if len(x) != model.d:
+        raise ShapeError(f"coupling vector must have length N(N-1)/2 = {model.d}")
+    rates = model.rates_c.tolist()
+    pairs = list(itertools.combinations(range(model.N), 2))
+    energies = []
+    for s in itertools.product((0.0, 1.0), repeat=model.N):
+        sc = [s_i - c_i for s_i, c_i in zip(s, rates)]
+        energies.append(math.fsum(x_ij * sc[i] * sc[j] for x_ij, (i, j) in zip(x, pairs)))
+    top = max(energies)
+    return top + math.log(math.fsum(math.exp(e - top) for e in energies))
 
 
 def exact_reference_kernels(lik, xs, ys):

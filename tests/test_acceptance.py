@@ -247,6 +247,7 @@ def test_criterion_3_decay_convexity():
 # Criterion 4: overlap decay at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_delta_decay(sweep_d10):
     t0 = time.perf_counter()
     rel = sweep_d10["rel"]
@@ -272,6 +273,7 @@ def test_criterion_4_delta_decay(sweep_d10):
 # Criterion 5: dimension independence of the decay rate
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_dimension_independence(sweep_d10):
     sweep_d110 = run_delta_sweep(110)
     s10, s110 = sweep_d10["slope"], sweep_d110["slope"]
@@ -289,6 +291,7 @@ def test_criterion_5_dimension_independence(sweep_d10):
 # Criterion 6: certified bounds dominate observed errors
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_bound_dominance(sweep_d10):
     model = sweep_d10["model"]
     assert model.chi is not None
@@ -331,6 +334,7 @@ def test_criterion_6_bound_dominance(sweep_d10):
 # Criterion 7: parallel determinism and speed-up
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_parallel_determinism(sweep_d10):
     model = sweep_d10["model"]
     config = sweep_d10["config"]

@@ -502,6 +502,23 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("configuration error:")
         assert repr(field) in lines[0]
 
+    @pytest.mark.parametrize("drift, b, shape", [
+        ({"kind": "tanh", "scale": 0.1}, [[0.0, 0.0], [0.0, 0.0]], "(2, 2)"),
+        ({"kind": "tanh", "scale": 0.1}, [], "(0,)"),
+        ({"kind": "linear", "M": [[0.1]]}, [], "(0,)"),
+    ])
+    def test_huber_offset_that_is_not_a_vector_exits_2(self, runner, tmp_path, drift, b, shape):
+        cfg = {"signal": {"type": "huber", "drift_map": drift, "b": b,
+                          "lipschitz_bounds": {"L_psi": 1.0, "L_grad_psi": 1.0, "L_A": 0.1, "L_grad_A": 0.1}},
+               "likelihood": {"type": "student_t"}}
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "5",
+                                 "--out", str(tmp_path / "sim")])
+        assert r.exit_code == 2, r.output
+        assert r.stderr.strip().splitlines() == [
+            f"configuration error: b must be a nonempty vector, got shape {shape}"]
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("where, field, value", [
         ("signal", "A", [[float("nan")]]),
         ("signal", "b", [float("inf")]),

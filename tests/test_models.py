@@ -30,12 +30,13 @@ from viterbipar import (
     eta_bound,
     eval_U,
     finite_diff_grad,
+    grad_U,
     simulate,
     solve_map,
     solve_parallel,
     stationary_covariance,
 )
-from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber_grad
+from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber, huber_grad
 from viterbipar.models.likelihoods import _softmax
 from viterbipar.errors import ShapeError, UnsupportedBoundError
 
@@ -417,17 +418,44 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(spikes, want)
 
     def test_drift_vjp_matches_jacobian_rows(self, rng):
-        # reference Jacobians built here: diag(scale / cosh^2 x) and M
+        # reference Jacobians built here: diag(scale (1 - tanh^2 x)) and M
         xs = 2.0 * rng.standard_normal((9, 4))
         v = rng.standard_normal((9, 4))
         tanh = TanhDrift(0.7)
         got = tanh.vjp(xs, v)
         for m in range(9):
-            np.testing.assert_array_equal(got[m], np.diag(0.7 / np.cosh(xs[m]) ** 2).T @ v[m])
+            np.testing.assert_array_equal(got[m], np.diag(0.7 * (1.0 - np.tanh(xs[m]) ** 2)).T @ v[m])
         M = rng.standard_normal((4, 4))
         got = LinearDrift(M).vjp(xs, v)
         for m in range(9):
             np.testing.assert_allclose(got[m], M.T @ v[m], rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("scale, ulps", [(0.5, 2.0), (1.0, 2.0), (0.7, 3.0), (0.4, 3.0)])
+    def test_tanh_jacobian_against_inverse_cosh_squared(self, rng, scale, ulps):
+        # sech^2 = 1 - tanh^2 is within 2 eps (absolute) of 1 / cosh^2; a
+        # scale that is not a power of two rounds each side's product once
+        # more, by at most half an ulp of scale
+        xs = np.concatenate([np.linspace(-25.0, 25.0, 200_001), 4.0 * rng.standard_normal(100_000)])
+        J = TanhDrift(scale).vjp(xs[:, None], np.ones((xs.size, 1)))[:, 0]
+        err = np.abs(J - scale / np.cosh(xs) ** 2)
+        assert np.max(err) <= ulps * np.finfo(float).eps * scale
+
+    def test_tanh_jacobian_is_zero_where_cosh_overflows(self):
+        xs = np.array([[800.0, 1.0], [-800.0, 0.0]])
+        sig = huber_signal(d=2, scale=0.5)
+        path = np.array([[0.3, -0.2], [800.0, 1.0], [-800.0, 0.0], [0.1, 0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            J = TanhDrift(0.5).vjp(xs, np.ones_like(xs))
+            G = sig.grad_log_transitions(path)
+            model = ModelSpec(sig, GaussianEmission(np.eye(2), np.eye(2)), observations=np.zeros((4, 2)))
+            U = grad_U(model, path).blocks
+        assert J[0, 0] == 0.0 and J[1, 0] == 0.0
+        np.testing.assert_array_equal(J[:, 1], 0.5 * (1.0 - np.tanh(xs[:, 1]) ** 2))
+        assert np.all(np.isfinite(G)) and np.all(np.isfinite(U))
+        # the blocks at +-800 keep only their own transition's -psi'(w)
+        gpsi = huber_grad(sig.residuals(path), sig.huber_c)
+        assert G[1, 0] == -gpsi[0, 0] and G[2, 0] == -gpsi[1, 0]
 
     def test_huber_transition_gradient_matches_per_block_loop(self, rng):
         sig = huber_signal(d=3, scale=0.4)
@@ -436,8 +464,22 @@ class TestBatchedKernels:
         want = np.zeros_like(xs)
         want[1:] -= gpsi
         for m in range(39):
-            want[m] += np.diag(0.4 / np.cosh(xs[m]) ** 2).T @ gpsi[m]
+            want[m] += np.diag(0.4 * (1.0 - np.tanh(xs[m]) ** 2)).T @ gpsi[m]
         np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
+
+    @pytest.mark.parametrize("c", [1.0, 0.7])
+    def test_huber_kernels_with_an_offset_match_the_definition(self, rng, c):
+        b = rng.standard_normal(3)
+        sig = HuberNonlinearSignal(TanhDrift(0.4), b, c, (1.0, 1.0 / c, 0.4, 0.77 * 0.4))
+        xs = 2.0 * rng.standard_normal((40, 3))
+        W = xs[1:] - 0.4 * np.tanh(xs[:-1]) - b
+        np.testing.assert_array_equal(sig.residuals(xs), W)
+        penalty, gpsi = _huber_where(W, c)
+        want = np.zeros_like(xs)
+        want[1:] -= gpsi
+        want[:-1] += 0.4 * (1.0 - np.tanh(xs[:-1]) ** 2) * gpsi
+        np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
+        assert sig.log_f_sum(xs) == pytest.approx(-np.sum(penalty) - 39 * sig._log_z, rel=1e-14)
 
     def test_drift_spot_check_reads_jacobians_from_vjp(self, rng):
         M = rng.standard_normal((3, 3))
@@ -448,6 +490,51 @@ class TestBatchedKernels:
                 HuberNonlinearSignal(drift, np.zeros(3), 1.0, (1.0, 1.0, 0.5 * L_A, L_grad_A))
         with pytest.raises(ValueError, match="L_grad_A"):  # tanh's Jacobian varies
             HuberNonlinearSignal(TanhDrift(0.4), np.zeros(3), 1.0, (1.0, 1.0, 0.4, 0.0))
+
+    @pytest.mark.parametrize("b", [[[0.0, 0.0], [0.0, 0.0]], [], 0.0])
+    def test_offset_must_be_a_nonempty_vector(self, b):
+        with pytest.raises(ShapeError) as err:
+            HuberNonlinearSignal(TanhDrift(0.1), b, 1.0, (1.0, 1.0, 0.1, 0.1))
+        assert str(err.value) == f"b must be a nonempty vector, got shape {np.shape(b)}"
+
+
+def _huber_where(t, c):
+    """The penalty and its derivative as defined, branch by branch. Both
+    branches are evaluated everywhere: NaN fails the comparison and a
+    huge |t| overflows t * t in the branch that is not taken."""
+    a = np.abs(t)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.where(a <= c, t * t / (2.0 * c), a - 0.5 * c), np.where(a <= c, t / c, np.sign(t))
+
+
+class TestHuberPenalty:
+    """The mask-free penalty and derivative against the where-form definition."""
+
+    @staticmethod
+    def inputs(rng, c):
+        edges = [0.0, -0.0, c, -c, np.nextafter(c, 0.0), np.nextafter(c, 2.0 * c), -np.nextafter(c, 0.0),
+                 np.inf, -np.inf, np.nan, 5e-324, -1e-300, 1e300, -1e300]
+        return np.concatenate([3.0 * c * rng.standard_normal(20_000), 1e3 * rng.standard_normal(2_000), edges])
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.7, 1e-3, 50.0])
+    def test_grad_is_bit_identical_to_the_definition(self, rng, c):
+        t = self.inputs(rng, c)
+        _, want = _huber_where(t, c)
+        assert huber_grad(t, c).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", [0.3, 1.0, 2.7, 1e-3, 50.0])
+    def test_penalty_within_two_eps_of_the_definition(self, rng, c):
+        t = self.inputs(rng, c)
+        want, _ = _huber_where(t, c)
+        got = huber(t, c)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_array_equal(got[np.isinf(want)], want[np.isinf(want)])
+        core = np.abs(t) <= c  # 2|t| - |t| is exact, so the core keeps its bits
+        assert got[core].tobytes() == want[core].tobytes()
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=2 * np.finfo(float).eps, atol=0)
+        if c == 1.0:
+            assert got.tobytes() == want.tobytes()
 
 
 def _pseudo_per_bin(lik, xs, spikes):

@@ -12,7 +12,6 @@ from viterbipar import (
     NeuralExact,
     PathVector,
     eval_U,
-    exact_neural_normalizer,
     finite_diff_grad,
     grad_U,
     rts_smoother,
@@ -20,6 +19,7 @@ from viterbipar import (
 from viterbipar.errors import ShapeError, UnsupportedModeError
 
 from conftest import (
+    exact_neural_normalizer,
     gamma_norm,
     gaussian_model_with_obs,
     lg_signal,
