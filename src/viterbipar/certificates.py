@@ -294,7 +294,9 @@ def _eta_bound_stoch_vol(model: ModelSpec, n: int, r: float, w: GammaWeight) -> 
     the 1/sqrt(gamma)-inflated radius), plus the data term, which takes
     the worse of the exp(+-sqrt(r)) endpoints of each squared emission
     gradient coordinate. Deliberately conservative: the two pieces are
-    combined with a factor-2 split instead of a sharp sup.
+    combined with a factor-2 split instead of a sharp sup. Where
+    exp(sqrt(r)) or a squared endpoint overflows a float, the bound is
+    ``math.inf``: true but vacuous.
     """
     sig = model.signal
     lik = model.likelihood
@@ -312,9 +314,15 @@ def _eta_bound_stoch_vol(model: ModelSpec, n: int, r: float, w: GammaWeight) -> 
     c_end = (1.0 + a_norm * inv_g) / rho_min_sigma
     c1 = max(c_interior, c_start, c_end)
     linear = 2.0 * r * c1 * c1
+    root = math.sqrt(r)
+    try:
+        grow = math.exp(root)
+    except OverflowError:
+        return math.inf
     resid_sq = (model.observations[n] - lik.factor_means[n]) ** 2
-    lo = (resid_sq * math.exp(-math.sqrt(r)) - 1.0) ** 2
-    hi = (resid_sq * math.exp(math.sqrt(r)) - 1.0) ** 2
+    lo = (resid_sq * math.exp(-root) - 1.0) ** 2
+    with np.errstate(over="ignore"):  # an overflowed endpoint is inf, as is the bound
+        hi = (resid_sq * grow - 1.0) ** 2
     data = 2.0 * 0.25 * float(np.sum(np.maximum(lo, hi)))
     return linear + data
 

@@ -403,6 +403,9 @@ class HuberNonlinearSignal:
         self.b = np.array(self.b, dtype=float)
         if self.b.ndim != 1 or not self.b.size:
             raise ShapeError(f"b must be a nonempty vector, got shape {self.b.shape}")
+        if isinstance(self.drift_map, LinearDrift) and self.drift_map.M.shape != (self.dim,) * 2:
+            raise ShapeError(f"drift matrix M has shape {self.drift_map.M.shape}, expected "
+                             f"{self.dim}x{self.dim} for the {self.dim} entries of b")
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         c = float(self.huber_c)
         if c <= 0:

@@ -9,13 +9,21 @@ on the window length, not on the horizon. The stitched result is
 deterministic and independent of the worker count: each segment is
 solved by the same sequential arithmetic whether it runs inline or in a
 worker process, and results are collected by segment index.
+
+Pooled solves share one process-wide pool of worker processes. The first
+pooled call starts it, and later calls of the same pool size submit to
+it directly. Idle workers stay alive, holding their memory, until the
+interpreter exits (``concurrent.futures`` joins them then) or a call
+needs another pool size.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 
@@ -46,6 +54,9 @@ class ParallelSolveReport:
     plan: SegmentPlan
     boundary_mode: str
     wall_clock_seconds: float
+    # whether this call started the worker pool, so its wall clock includes
+    # the pool's start-up; False for inline runs and for calls that reused it
+    started_pool: bool
 
     def to_dict(self) -> dict:
         return {
@@ -53,6 +64,7 @@ class ParallelSolveReport:
             "delta": self.plan.overlap_delta,
             "boundary_mode": self.boundary_mode,
             "wall_clock_seconds": self.wall_clock_seconds,
+            "started_pool": self.started_pool,
             "per_segment": [r.to_dict() for r in self.per_segment],
         }
 
@@ -66,12 +78,45 @@ def default_boundary_mode(model: ModelSpec) -> str:
     return "marginal-prior"
 
 
-def _pool(workers: int, num_segments: int):
-    """A process pool for the segment solves of a plan, or a null context
-    (which gives None) when they run inline."""
-    if workers <= 1 or num_segments == 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=min(workers, num_segments))
+# The process-wide pool: (pid, size, executor) of the pool that pooled
+# segment solves share, or None before the first one. The pid keeps a
+# forked child from using its parent's pool.
+_pool_slot = None
+_pool_lock = threading.Lock()
+
+
+def _submit(jobs: list, size: int) -> tuple[ProcessPoolExecutor, list, bool]:
+    """Submit the jobs to the process-wide pool of ``size`` workers and
+    return (pool, futures, whether this call started the pool).
+
+    A pool of another size, a broken one or one this process inherited is
+    replaced. A replaced pool of this process is shut down first, which
+    lets work already submitted to it finish and joins its threads before
+    the new pool forks its workers."""
+    global _pool_slot
+    with _pool_lock:
+        slot = _pool_slot
+        started = (slot is None or slot[:2] != (os.getpid(), size)
+                   or getattr(slot[2], "_broken", False))
+        if started:
+            if slot is not None and slot[0] == os.getpid():
+                slot[2].shutdown(wait=True)
+            _pool_slot = slot = (os.getpid(), size, ProcessPoolExecutor(max_workers=size))
+        pool = slot[2]
+        return pool, [pool.submit(solve_windowed, *job) for job in jobs], started
+
+
+def _release_pool(pool=None) -> None:
+    """Empty the pool slot, if it holds ``pool`` (any pool when None), and
+    shut the pool down if this process started it."""
+    global _pool_slot
+    with _pool_lock:
+        slot = _pool_slot
+        if slot is None or (pool is not None and slot[2] is not pool):
+            return
+        _pool_slot = None
+        if slot[0] == os.getpid():
+            slot[2].shutdown(wait=True)
 
 
 def _segment_jobs(model: ModelSpec, plan: SegmentPlan, config: SolverConfig, mode: str) -> list:
@@ -79,21 +124,34 @@ def _segment_jobs(model: ModelSpec, plan: SegmentPlan, config: SolverConfig, mod
     return [(WindowedObjective(model, (lo, hi - 1), mode), config) for lo, hi in plan.enlarged]
 
 
-def _solve_segments(plan: SegmentPlan, jobs: list, pool) -> tuple[PathVector, list[SolveReport]]:
-    """Solve the plan's jobs, in ``pool`` or inline when it is None, and
-    stitch the segments from the reports collected by segment index."""
-    # calling a result solves its segment here, or waits for the pool's answer
-    if pool is None:
-        results = [partial(solve_windowed, *job) for job in jobs]
-    else:
-        results = [pool.submit(solve_windowed, *job).result for job in jobs]
-    reports: list[SolveReport] = []
-    failures = []
-    for k, result in enumerate(results):
-        try:
-            reports.append(result())
-        except DivergenceError as exc:
-            failures.append((k, exc))
+def _solve_segments(plan: SegmentPlan, jobs: list, workers: int) -> tuple[PathVector, list[SolveReport], bool]:
+    """Solve the plan's jobs, on the process-wide pool or inline when one
+    worker would do, and stitch the segments from the reports collected by
+    segment index. Returns (stitched, reports, whether this call started
+    the pool)."""
+    size = min(workers, len(jobs))
+    pool, futures, started = None, [], False
+    try:
+        # calling a result solves its segment here, or waits for the pool's answer
+        if size > 1:
+            pool, futures, started = _submit(jobs, size)
+            results = [future.result for future in futures]
+        else:
+            results = [partial(solve_windowed, *job) for job in jobs]
+        reports: list[SolveReport] = []
+        failures = []
+        for k, result in enumerate(results):
+            try:
+                reports.append(result())
+            except DivergenceError as exc:
+                failures.append((k, exc))
+    except BrokenProcessPool:
+        _release_pool(pool)  # the next pooled call starts a fresh pool
+        raise
+    except BaseException:
+        for future in futures:
+            future.cancel()  # segments not yet started are dropped
+        raise
     if failures:
         names = ", ".join(f"segment {k} ({exc})" for k, exc in failures)
         raise DivergenceError(
@@ -106,7 +164,7 @@ def _solve_segments(plan: SegmentPlan, jobs: list, pool) -> tuple[PathVector, li
         lo, hi = seg
         off = lo - enl[0]
         stitched[lo:hi] = reports[k].solution.blocks[off : off + (hi - lo)]
-    return PathVector(stitched), reports
+    return PathVector(stitched), reports, started
 
 
 def solve_parallel(
@@ -129,14 +187,14 @@ def solve_parallel(
     mode = boundary_mode or default_boundary_mode(model)
     t_start = time.perf_counter()
     jobs = _segment_jobs(model, plan, config, mode)
-    with _pool(workers, len(jobs)) as pool:
-        stitched, reports = _solve_segments(plan, jobs, pool)
+    stitched, reports, started = _solve_segments(plan, jobs, workers)
     return ParallelSolveReport(
         stitched=stitched,
         per_segment=reports,
         plan=plan,
         boundary_mode=mode,
         wall_clock_seconds=time.perf_counter() - t_start,
+        started_pool=started,
     )
 
 
@@ -171,8 +229,9 @@ def sweep_delta(
 
     The reference is the single-segment, zero-overlap solve under the
     identical solver configuration; speedup is its wall clock over each
-    parallel wall clock. One process pool serves every delta, so the
-    first row's wall clock includes the pool's start-up. The segment
+    parallel wall clock. The process-wide pool serves every delta, so the
+    first row's wall clock includes the pool's start-up only if no earlier
+    call in this process started a pool of the same size. The segment
     solves use :func:`default_boundary_mode`. Returns (rows, reference
     report, boundary mode). Invalid deltas or plans raise before the
     reference solve. A zero-path reference, as all-zero observations of a
@@ -196,17 +255,16 @@ def sweep_delta(
             "errors relative to it are undefined"
         )
     rows = []
-    with _pool(workers, num_segments_l) as pool:
-        for delta, plan, jobs, build_s in runs:
-            t_start = time.perf_counter()
-            stitched, _ = _solve_segments(plan, jobs, pool)
-            wall = build_s + time.perf_counter() - t_start
-            rows.append(
-                SweepRow(
-                    delta=int(delta),
-                    rel_error=relative_error(stitched, reference.solution),
-                    wall_clock_s=wall,
-                    speedup=reference.wall_clock_seconds / max(wall, 1e-12),
-                )
+    for delta, plan, jobs, build_s in runs:
+        t_start = time.perf_counter()
+        stitched, _, _ = _solve_segments(plan, jobs, workers)
+        wall = build_s + time.perf_counter() - t_start
+        rows.append(
+            SweepRow(
+                delta=int(delta),
+                rel_error=relative_error(stitched, reference.solution),
+                wall_clock_s=wall,
+                speedup=reference.wall_clock_seconds / max(wall, 1e-12),
             )
+        )
     return rows, reference, mode

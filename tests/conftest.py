@@ -1,13 +1,16 @@
 """Shared model builders, reference norms, reference local gradients and
 fields, reference spike-coupling kernels, the enumerated normalizer of
-the exact spiking family, a reference decay-convexity sampler, and the
-csv-module writers and readers that the bulk CSV I/O must match, for the
-test suite."""
+the exact spiking family, a reference decay-convexity sampler, the
+csv-module writers and readers that the bulk CSV I/O must match, a dying
+segment solve, and a session-end check that no worker process outlives
+the suite."""
 
 import csv
 import itertools
 import json
 import math
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,7 @@ from viterbipar import (
 from viterbipar.core import gamma_weights
 from viterbipar.errors import ConfigError, ShapeError
 from viterbipar.objective import FullObjective
+from viterbipar.parallel import _release_pool
 
 
 def gamma_inner(x, y, w):
@@ -369,6 +373,20 @@ def neural_model(N=3, R=2, n=6, seed=4, exact=False, spikes=None, signal=None):
     return ModelSpec(signal, lik, observations=None)
 
 
+def exit_at_once(objective, config):
+    """Stands in for the segment solve in a worker process that dies."""
+    os._exit(1)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_suite():
+    """Shut the process-wide segment pool down when the session ends and
+    fail if any worker process is still alive."""
+    yield
+    _release_pool()
+    assert multiprocessing.active_children() == []

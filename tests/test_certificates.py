@@ -3,6 +3,7 @@ quantitative accuracy bounds against independent closed-form oracles."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,19 @@ class TestBounds:
         weights = gamma_weights(m + 1, cert.chosen_gamma)
         observed = float(np.einsum("md,md->m", diff, diff) @ weights)
         assert bound >= observed
+
+    @pytest.mark.parametrize("n", [1, 5, 20])
+    def test_factor_model_bound_is_inf_where_exp_overflows(self, n):
+        # at lambda_g = 0 the ball radius alpha / lambda^2 puts exp(sqrt(r))
+        # or its square beyond the float range: the bound is true but vacuous
+        from conftest import stochvol_model
+
+        signal = lg_signal(d=10, a=0.95, sigma_sq=0.1, stationary=True)
+        model = stochvol_model(d=10, q=3, n=n + 3, seed=3, signal=signal)
+        cert = certify_linear_gaussian(model.signal, lambda_g=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert viterbi_distance_bound_eta(model, cert, n, n + 2) == math.inf
 
 
 class TestEmpiricalDecayConvexity:

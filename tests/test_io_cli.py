@@ -19,7 +19,7 @@ from viterbipar.cli import main
 from viterbipar.parallel import SweepRow
 from viterbipar.solver import SolverConfig
 
-from conftest import random_spikes, reference_write_sweep_csv
+from conftest import exit_at_once, random_spikes, reference_write_sweep_csv
 
 # every package error: (exit code, stderr label)
 _ERROR_EXITS = {
@@ -32,11 +32,6 @@ _ERROR_EXITS = {
     errors.CertificationError: (5, "certification error"),
     errors.UnsupportedBoundError: (5, "certification error"),
 }
-
-
-def _exit_at_once(objective, config):
-    """Stands in for the segment solve in a worker process that dies."""
-    os._exit(1)
 
 
 @pytest.fixture
@@ -417,7 +412,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["solve-par", "sweep"])
     def test_dead_worker_exits_6(self, runner, tmp_path, monkeypatch, command):
         args = _two_segment_args(runner, tmp_path, command)
-        monkeypatch.setattr("viterbipar.parallel.solve_windowed", _exit_at_once)
+        monkeypatch.setattr("viterbipar.parallel.solve_windowed", exit_at_once)
         r = runner.invoke(main, args + ["--workers", "2"])
         assert r.exit_code == 6, r.output
         lines = r.stderr.strip().splitlines()
@@ -827,7 +822,7 @@ class TestCli:
         report = json.loads((tmp_path / "par" / "report.json").read_text())
         assert json.loads(r.output) == report
         assert set(report) == {"command", "num_segments", "delta", "boundary_mode",
-                               "wall_clock_seconds", "per_segment", "solution"}
+                               "wall_clock_seconds", "started_pool", "per_segment", "solution"}
         assert [set(seg) for seg in report["per_segment"]] == [solve_keys - {"command", "solution"}] * 2
         r = runner.invoke(main, ["solve", *args[1:5], "--out", str(tmp_path / "full")])
         assert r.exit_code == 0, r.output

@@ -497,6 +497,13 @@ class TestBatchedKernels:
             HuberNonlinearSignal(TanhDrift(0.1), b, 1.0, (1.0, 1.0, 0.1, 0.1))
         assert str(err.value) == f"b must be a nonempty vector, got shape {np.shape(b)}"
 
+    @pytest.mark.parametrize("M", [np.eye(3), np.eye(2)[:1], np.ones((2, 3))])
+    def test_linear_drift_must_match_the_offset(self, M):
+        with pytest.raises(ShapeError) as err:
+            HuberNonlinearSignal(LinearDrift(M), np.zeros(2), 1.0, (1.0, 1.0, 1.0, 0.0))
+        assert str(err.value) == (f"drift matrix M has shape {M.shape}, expected 2x2 "
+                                  "for the 2 entries of b")
+
 
 def _huber_where(t, c):
     """The penalty and its derivative as defined, branch by branch. Both

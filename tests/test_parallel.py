@@ -1,7 +1,10 @@
 """Segment-overlap parallel solves: stitching, determinism, error decay."""
 
+import os
 import pickle
-from concurrent.futures import Future
+import sys
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -15,9 +18,10 @@ from viterbipar import (
     solve_parallel,
     sweep_delta,
 )
+from viterbipar import parallel
 from viterbipar.errors import DivergenceError, UnsupportedModeError
 
-from conftest import gaussian_model_with_obs, huber_signal, neural_model, student_model
+from conftest import exit_at_once, gaussian_model_with_obs, huber_signal, neural_model, student_model
 
 
 def _model(n=47, a=0.7, seed=21):
@@ -26,6 +30,16 @@ def _model(n=47, a=0.7, seed=21):
 
 
 CONFIG = SolverConfig(grad_tol=1e-12, max_iters=20000)
+
+
+@pytest.fixture
+def empty_pool_slot():
+    """Empty the process-wide pool slot before and after the test, so that
+    the test's first pooled solve builds its pool and no pool of the test
+    outlives it."""
+    parallel._release_pool()
+    yield
+    parallel._release_pool()
 
 
 class TestRelativeError:
@@ -190,11 +204,8 @@ def _pickling_executor(sizes):
         def __init__(self, max_workers=None):
             pass
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return None
+        def shutdown(self, wait=True):
+            pass
 
         def submit(self, fn, *job):
             blob = pickle.dumps(job)
@@ -206,6 +217,7 @@ def _pickling_executor(sizes):
     return PicklingExecutor
 
 
+@pytest.mark.usefixtures("empty_pool_slot")
 class TestSegmentJobs:
     @pytest.mark.parametrize("build", [
         lambda n: _model(n=n),
@@ -221,6 +233,7 @@ class TestSegmentJobs:
             sizes[n] = []
             monkeypatch.setattr("viterbipar.parallel.ProcessPoolExecutor",
                                 _pickling_executor(sizes[n]))
+            parallel._release_pool()  # the next pooled solve builds the stand-in
             shipped = solve_parallel(model, plan, config, workers=2)
             assert len(sizes[n]) == num_segments
             inline = solve_parallel(model, plan, config, workers=1)
@@ -253,3 +266,89 @@ class TestSegmentJobs:
         with pytest.raises(UnsupportedModeError):
             solve_parallel(model, build_segment_plan(23, 4, 2), CONFIG, workers=2,
                            boundary_mode="marginal-prior")
+
+
+@pytest.mark.usefixtures("empty_pool_slot")
+class TestSharedPool:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The sizes of the real process pools built during the test."""
+        sizes = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr("viterbipar.parallel.ProcessPoolExecutor", CountingPool)
+        return sizes
+
+    def test_consecutive_calls_share_one_pool(self, built):
+        model = _model(n=23)
+        plan = build_segment_plan(23, 4, 4)
+        first = solve_parallel(model, plan, CONFIG, workers=2)
+        second = solve_parallel(model, plan, CONFIG, workers=2)
+        inline = solve_parallel(model, plan, CONFIG, workers=1)
+        assert built == [2]
+        assert (first.started_pool, second.started_pool, inline.started_pool) == (True, False, False)
+        assert first.stitched.blocks.tobytes() == second.stitched.blocks.tobytes()
+        assert first.stitched.blocks.tobytes() == inline.stitched.blocks.tobytes()
+
+    def test_another_size_replaces_the_pool(self, built):
+        model = _model(n=23)
+        plan = build_segment_plan(23, 4, 4)
+        solve_parallel(model, plan, CONFIG, workers=2)
+        old = parallel._pool_slot[2]
+        report = solve_parallel(model, plan, CONFIG, workers=4)
+        assert built == [2, 4] and report.started_pool
+        assert parallel._pool_slot[2] is not old
+        with pytest.raises(RuntimeError, match="shutdown"):
+            old.submit(abs, -1)  # the replaced pool was shut down
+
+    def test_dead_worker_leaves_a_fresh_pool_for_the_next_call(self, built, monkeypatch):
+        model = _model(n=23)
+        plan = build_segment_plan(23, 4, 4)
+        with monkeypatch.context() as m:
+            m.setattr("viterbipar.parallel.solve_windowed", exit_at_once)
+            with pytest.raises(BrokenProcessPool):
+                solve_parallel(model, plan, CONFIG, workers=2)
+        assert parallel._pool_slot is None
+        report = solve_parallel(model, plan, CONFIG, workers=2)
+        assert built == [2, 2] and report.started_pool
+        inline = solve_parallel(model, plan, CONFIG, workers=1)
+        assert np.array_equal(report.stitched.blocks, inline.stitched.blocks)
+
+    def test_pool_of_another_process_is_not_reused(self, built):
+        class ParentPool:
+            def submit(self, *args):
+                raise AssertionError("submitted to a pool of another process")
+
+            def shutdown(self, wait=True):
+                raise AssertionError("shut down a pool of another process")
+
+        parallel._pool_slot = (os.getpid() + 1, 2, ParentPool())
+        model = _model(n=23)
+        report = solve_parallel(model, build_segment_plan(23, 4, 4), CONFIG, workers=2)
+        assert built == [2] and report.started_pool
+        assert parallel._pool_slot[0] == os.getpid()
+
+    def test_threads_switching_sizes_share_the_slot(self):
+        # calls of two sizes from two threads: a pool replaced between
+        # another call's lookup and its submit would raise there
+        model = _model(n=23)
+        plan = build_segment_plan(23, 4, 4)
+        want = solve_parallel(model, plan, CONFIG, workers=1).stitched.blocks.tobytes()
+
+        def calls(sizes):
+            return [solve_parallel(model, plan, CONFIG, workers=w).stitched.blocks.tobytes()
+                    for w in sizes]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as threads:
+                futures = [threads.submit(calls, sizes) for sizes in ([2, 3, 2], [3, 2, 3])]
+                got = [blob for future in futures for blob in future.result(timeout=120)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 6
