@@ -31,7 +31,6 @@ from .objective import (
     eval_U,
     grad_U,
     WindowedObjective,
-    hessian_quadratic_form,
 )
 from .solver import SolverConfig, SolveReport, solve_map, solve_windowed, estimate_grad_lipschitz
 from .parallel import (
@@ -47,9 +46,7 @@ from .certificates import (
     certify_huber,
     feasible_gamma_interval,
     lambda_max,
-    beta_m,
     alpha_gamma_n,
-    eta_bound,
     viterbi_distance_bound_eta,
     viterbi_distance_bound_chi,
     segment_overlap_error_bound,
@@ -75,14 +72,11 @@ __all__ = [
     "NeuralPseudo",
     "NeuralExact",
     "ModelSpec",
-    "beta_m",
     "alpha_gamma_n",
-    "eta_bound",
     "simulate",
     "eval_U",
     "grad_U",
     "WindowedObjective",
-    "hessian_quadratic_form",
     "SolverConfig",
     "SolveReport",
     "solve_map",

@@ -2,8 +2,8 @@
 
 The bounds read beta_m (the worst squared local gradient norm at the
 zero path), its discounted running sum alpha and the ball bound eta,
-all defined here. Each evaluator builds the beta array once, over its
-longest index range, and reads every term from it.
+each defined once here. Each evaluator builds the beta array once, over
+its longest index range, and reads every term from it.
 
 A certificate packages the per-block concavity constants (zeta for
 interior blocks, zeta_tilde for boundary blocks) against the cross-time
@@ -43,9 +43,7 @@ __all__ = [
     "certify_huber",
     "feasible_gamma_interval",
     "lambda_max",
-    "beta_m",
     "alpha_gamma_n",
-    "eta_bound",
     "viterbi_distance_bound_eta",
     "viterbi_distance_bound_chi",
     "segment_overlap_error_bound",
@@ -240,43 +238,17 @@ def _alpha(beta: np.ndarray, gamma: float, n: int) -> float:
     return float(acc)
 
 
-def beta_m(model: ModelSpec, index_m: int) -> float:
-    """Worst squared local gradient norm at the zero path for index m."""
-    m = int(index_m)
-    if m < 0:
-        raise IndexError(f"index must be nonnegative, got {m}")
-    model.require_horizon(m)
-    return float(_beta_array(model, m)[m])
-
-
 def alpha_gamma_n(model: ModelSpec, w: GammaWeight, horizon: int) -> float:
     """Discounted running sum of beta: sum_{m<=n} gamma^(n-m) beta_m."""
     n = int(horizon)
     return _alpha(_beta_array(model, n), w.gamma, n)
 
 
-def eta_bound(model: ModelSpec, index_n: int, radius_r: float, w: GammaWeight) -> float:
-    """Certified upper bound on the worst local gradient over a ball.
-
-    The ball is measured in the index-centered discounted norm with radius
-    sqrt(r). Two routes exist:
-
-    * the factor-volatility model (with b = b0 = 0) gets its specialized
-      crude bound, built from the signal eigen-extremes and an
-      exp(sqrt(r))-weighted data term;
-    * otherwise the quadratic-growth route beta_n + chi r / gamma is used
-      and requires ``model.chi``.
-    """
-    r = float(radius_r)
-    if r < 0:
-        raise ValueError(f"radius must be nonnegative, got {r}")
-    n = int(index_n)
-    model.require_horizon(n)
-    return _eta(model, n, r, w, _beta_array(model, n))
-
-
 def _eta(model: ModelSpec, n: int, r: float, w: GammaWeight, beta: np.ndarray) -> float:
-    """:func:`eta_bound` at a checked (n, r), reading beta_n from ``beta``."""
+    """Certified bound on the worst local gradient over the ball of radius
+    sqrt(r) in the index-centered discounted norm, reading beta_n from
+    ``beta``: the factor-volatility model's own bound (b = b0 = 0), else
+    beta_n + chi r / gamma, which needs ``model.chi``."""
     if isinstance(model.likelihood, StochVolFactor) and isinstance(model.signal, LinearGaussianSignal):
         return _eta_bound_stoch_vol(model, n, r, w)
     if model.chi is None:
@@ -442,15 +414,12 @@ def _pair_slack(x, gx, y, gy, weights, lam) -> float:
 
 
 def empirical_decay_convexity(
-    model: ModelSpec,
-    cert: DecayConvexityCertificate,
-    trials: int,
-    seed: int,
-    gamma: float | None = None,
-    lam: float | None = None,
+    model: ModelSpec, cert: DecayConvexityCertificate, trials: int, seed: int
 ) -> SlackReport:
     """Sample random path pairs and report the minimum of
-    <x - x', gradU(x) - gradU(x')>_gamma - lambda |x - x'|_gamma^2.
+    <x - x', gradU(x) - gradU(x')>_gamma - lambda |x - x'|_gamma^2 at the
+    certificate's chosen (gamma, lambda); ``dataclasses.replace`` sets
+    another pair.
 
     The ``trials`` pairs are split over the path scales 0.1, 1 and 10
     (``len(range(s, trials, 3))`` pairs at the s-th). Paths are shared
@@ -468,10 +437,7 @@ def empirical_decay_convexity(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if gamma is None or lam is None:
-        g, l = _require_chosen(cert)
-        gamma = g if gamma is None else gamma
-        lam = l if lam is None else lam
+    gamma, lam = _require_chosen(cert)
     grad_U = FullObjective(model).grad
     rng = np.random.default_rng(seed)
     n_blocks = model.horizon + 1

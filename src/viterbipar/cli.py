@@ -31,7 +31,7 @@ from .certificates import (
     segment_overlap_error_bound,
     viterbi_distance_bound_chi,
 )
-from .core import GammaWeight, PathVector, build_segment_plan
+from .core import PathVector, build_segment_plan
 from .errors import CertificationError, ConfigError, ViterbiParError
 from .models.likelihoods import GaussianEmission
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
@@ -105,20 +105,19 @@ def _certify_model(model: ModelSpec, lambda_g: float):
 
 
 def solver_options(fn):
-    """The five solver flags, handed to the command as one ``config``.
+    """The four solver flags, handed to the command as one ``config``.
     Commands list ``handle_errors`` above it, so an invalid value exits 2."""
 
     @functools.wraps(fn)
-    def wrapper(*args, step_mode, step_size, max_iters, grad_tol, gamma, **kwargs):
+    def wrapper(*args, step_mode, step_size, max_iters, grad_tol, **kwargs):
         config = SolverConfig(step_mode=step_mode, step_size=step_size, max_iters=max_iters,
-                              grad_tol=grad_tol, gamma=GammaWeight(gamma))
+                              grad_tol=grad_tol)
         return fn(*args, config=config, **kwargs)
 
     wrapper = click.option("--step-mode", type=click.Choice(["fixed", "backtracking"]), default=SolverConfig.step_mode, show_default=True)(wrapper)
     wrapper = click.option("--step-size", type=float, default=SolverConfig.step_size, show_default=True, help="fixed step, or initial trial step when backtracking")(wrapper)
     wrapper = click.option("--max-iters", type=int, default=SolverConfig.max_iters, show_default=True)(wrapper)
-    wrapper = click.option("--grad-tol", type=float, default=SolverConfig.grad_tol, help="stop when the discounted gradient norm falls below this")(wrapper)
-    wrapper = click.option("--gamma", type=float, default=GammaWeight.gamma, show_default=True, help="discount used by the stopping norm")(wrapper)
+    wrapper = click.option("--grad-tol", type=float, default=SolverConfig.grad_tol, help="stop when the gradient's 2-norm falls below this")(wrapper)
     return wrapper
 
 

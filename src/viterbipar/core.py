@@ -1,4 +1,4 @@
-"""Path vectors, discounted norms and segment plans.
+"""Path vectors, discount weights and segment plans.
 
 A path is the finite block vector (x_0, ..., x_n), each block in R^d.
 All norms treat blocks beyond the stored horizon as zero, so a stored
@@ -7,8 +7,7 @@ path stands for the infinite sequence obtained by zero padding.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,11 +70,6 @@ def gamma_weights(n_blocks: int, gamma: float) -> np.ndarray:
     return w
 
 
-def _weighted_norm(blocks: np.ndarray, weights: np.ndarray) -> float:
-    """sqrt(sum_m weights[m] |blocks[m]|^2)."""
-    return math.sqrt(float(np.einsum("md,md->m", blocks, blocks) @ weights))
-
-
 @dataclass(frozen=True)
 class SegmentPlan:
     """The partition A_1, ..., A_l of {0..n} plus the overlap enlargements.
@@ -89,8 +83,8 @@ class SegmentPlan:
     num_segments_l: int
     block_len_Delta: int
     overlap_delta: int
-    segments: tuple = field(default=())
-    enlarged: tuple = field(default=())
+    segments: tuple
+    enlarged: tuple
 
 
 def build_segment_plan(horizon_n: int, num_segments_l: int, overlap_delta: int) -> SegmentPlan:

@@ -29,6 +29,8 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 # relative size of the last doubling increment that stationary_covariance adds
 _STATIONARY_TOL = 1e-14
+# sampled points and slack per declared bound of the Huber drift spot check
+_SPOT_CHECK_POINTS, _SPOT_CHECK_TOL = 16, 1e-8
 
 
 def _square(name: str, M) -> np.ndarray:
@@ -335,10 +337,6 @@ class LinearDrift:
         np.matmul(xs, self.M.T, out=out)
         return lambda v: v @ self.M
 
-    def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
-        return self.linearize(xs, np.empty(xs.shape))(v)
-
 
 @dataclass(frozen=True)
 class TanhDrift:
@@ -371,10 +369,6 @@ class TanhDrift:
 
         return pullback
 
-    def vjp(self, xs: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Rows v_m' J(x_m) for a stack of points xs and cotangents v."""
-        return self.linearize(xs, np.empty(xs.shape))(v)
-
 
 @dataclass
 class HuberNonlinearSignal:
@@ -384,10 +378,9 @@ class HuberNonlinearSignal:
     ``drift_map`` is called on a point or an (m, d) stack of points and
     returns a fresh array, which the kernels overwrite;
     ``linearize(xs, out)`` writes the drift of a stack into ``out`` and
-    returns the pullback v -> rows v_m' J(x_m), from one evaluation;
-    ``vjp(xs, v)`` applies that pullback (see ``LinearDrift`` and
-    ``TanhDrift``). Nothing else of it is used. The offset ``b`` is a
-    nonempty vector whose length is the state dimension.
+    returns the pullback v -> rows v_m' J(x_m), from one evaluation (see
+    ``LinearDrift`` and ``TanhDrift``). Nothing else of it is used. The
+    offset ``b`` is a nonempty vector whose length is the state dimension.
     ``lipschitz_bounds`` is (L_psi, L_grad_psi, L_A, L_grad_A): a bound on
     the noise-penalty gradient norm, its Lipschitz constant, the drift
     Jacobian operator norm and the Jacobian's Lipschitz constant. The
@@ -417,7 +410,8 @@ class HuberNonlinearSignal:
         self._log_z = self.dim * math.log(sum(_huber_masses(c)))  # log partition
         self._spot_check_bounds()
 
-    def _spot_check_bounds(self, points: int = 16, tol: float = 1e-8):
+    def _spot_check_bounds(self):
+        tol = _SPOT_CHECK_TOL
         L_psi, L_grad_psi, L_A, L_grad_A = self.lipschitz_bounds
         if L_psi + tol < 1.0 or L_grad_psi + tol < 1.0 / self.huber_c:
             raise ConfigError(
@@ -425,10 +419,11 @@ class HuberNonlinearSignal:
                 f"L_grad_psi >= 1/c = {1.0 / self.huber_c:g}"
             )
         rng = np.random.default_rng(0)
-        xs = rng.standard_normal((points, self.dim)) * 3.0
-        # the rows e_i' J(x) of the identity's products are the rows of J(x)
+        xs = rng.standard_normal((_SPOT_CHECK_POINTS, self.dim)) * 3.0
+        # the identity's pullback at d copies of x has the rows e_i' J(x) of J(x)
         eye = np.eye(self.dim)
-        jacs = [self.drift_map.vjp(np.repeat(x[None], self.dim, 0), eye) for x in xs]
+        jacs = [self.drift_map.linearize(X, np.empty(X.shape))(eye)
+                for X in np.repeat(xs[:, None], self.dim, 1)]
         for J in jacs:
             if np.linalg.norm(J, 2) > L_A + tol:
                 raise ConfigError("drift Jacobian exceeds the declared L_A at a sampled point")

@@ -1,13 +1,12 @@
 """Negative log posterior assembly: values and block gradients of a window
-of the chain, the full-path problem as the window (0, n), and Hessian
-quadratic forms.
+of the chain, and the full-path problem as the window (0, n).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GammaWeight, PathVector, _weighted_norm, gamma_weights
+from .core import PathVector
 from .errors import ShapeError, UnsupportedModeError
 from .models.signals import _LOG_2PI
 from .models.spec import ModelSpec
@@ -17,7 +16,6 @@ __all__ = [
     "grad_U",
     "WindowedObjective",
     "FullObjective",
-    "hessian_quadratic_form",
 ]
 
 BOUNDARY_MODES = ("full-prior", "marginal-prior", "flat-start")
@@ -122,31 +120,3 @@ def grad_U(model: ModelSpec, x) -> PathVector:
     """Block gradient of the negative log posterior for the full path."""
     return PathVector(FullObjective(model).grad(_as_blocks(x)))
 
-
-# ---------------------------------------------------------------------------
-# Hessian quadratic forms
-# ---------------------------------------------------------------------------
-
-# gradient difference step along v, before scaling by its discounted norm
-_HESSIAN_STEP = 1e-5
-
-
-def hessian_quadratic_form(model: ModelSpec, x, v, w: GammaWeight) -> float:
-    """Discounted quadratic form of the objective curvature along v at x.
-
-    Uses the symmetric difference of the gradient with step _HESSIAN_STEP
-    scaled by the discounted norm of v, paired with the discounted inner
-    product. Exact (up to roundoff) for models with quadratic objectives.
-    """
-    obj = FullObjective(model)
-    xs = _as_blocks(x)
-    vs = _as_blocks(v)
-    obj._check(xs)
-    obj._check(vs)
-    weights = gamma_weights(vs.shape[0], w.gamma)
-    vnorm = _weighted_norm(vs, weights)
-    if vnorm == 0.0:
-        return 0.0
-    eps = _HESSIAN_STEP / vnorm
-    hv = (obj.grad(xs + eps * vs) - obj.grad(xs - eps * vs)) / (2.0 * eps)
-    return float(np.einsum("md,md->m", vs, hv) @ weights)

@@ -3,18 +3,19 @@
 Fixed-step gradient descent is the canonical method (explicit Euler on
 the gradient flow of the objective); an Armijo backtracking variant is
 the default for user runs since a good fixed step is data-scale
-specific. Convergence is declared on the discounted gradient norm.
+specific. Convergence is declared on the gradient's 2-norm, which
+bounds its norm under every discount gamma <= 1.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import GammaWeight, PathVector, _weighted_norm, gamma_weights
+from .core import PathVector
 from .errors import ConfigError, DivergenceError, ShapeError
 from .models.spec import ModelSpec
 from .objective import FullObjective, WindowedObjective
@@ -37,16 +38,15 @@ class SolverConfig:
 
     ``step_size`` is the fixed step in fixed mode and the initial trial
     step in backtracking mode. ``grad_tol`` stops the iteration once the
-    discounted gradient norm (weight ``gamma``) falls below it; the
-    default None scales a 1e-8 floor with the square root of the path
-    length. The defaults are the CLI's too.
+    gradient's 2-norm, which bounds its norm under every discount, falls
+    below it; the default None scales a 1e-8 floor with the square root
+    of the path length. The defaults are the CLI's too.
     """
 
     step_mode: str = "backtracking"
     step_size: float = 1.0
     max_iters: int = 20_000
     grad_tol: float | None = None
-    gamma: GammaWeight = field(default_factory=GammaWeight)
 
     def __post_init__(self):
         if self.step_mode not in ("fixed", "backtracking"):
@@ -68,10 +68,10 @@ class SolverConfig:
 class SolveReport:
     """Outcome of one solve: the path plus convergence diagnostics.
 
-    ``converged`` is true when the final discounted gradient norm is
-    within the tolerance; a solve that stopped at ``max_iters`` short of
-    it returns normally with ``converged`` false, and ``stop_reason``
-    names the rule that ended it: ``"tolerance"`` or ``"max_iters"``.
+    ``converged`` is true when the final gradient's 2-norm is within the
+    tolerance; a solve that stopped at ``max_iters`` short of it returns
+    normally with ``converged`` false, and ``stop_reason`` names the rule
+    that ended it: ``"tolerance"`` or ``"max_iters"``.
     ``grad_evals`` and ``value_evals`` count the objective's gradient and
     value calls, including the final point's value. In backtracking mode
     ``halvings`` counts the rejected trial steps and ``coasting_steps`` the
@@ -103,16 +103,13 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
 
     ``objective.grad`` returns a fresh array, so the fixed-step update
     may scale it in place and subtract it from ``x``, the loop's own copy.
-    At gamma = 1 the discounted norm is the plain 2-norm: one BLAS dot
-    product of the gradient with itself, whose value also serves the
-    backtracking tests. Other gammas weight each block's squared norm.
+    The stopping norm is one BLAS dot product of the gradient with
+    itself, whose value also serves the backtracking tests.
     The loop tests trial values and gradients for non-finite entries
     itself, so numpy's overflow and invalid-value warnings are silenced.
     """
     t_start = time.perf_counter()
     x = np.array(init, dtype=float)
-    plain = config.gamma.gamma == 1.0
-    weights = None if plain else gamma_weights(x.shape[0], config.gamma.gamma)
     tol = config.resolved_tol(x.shape[0])
 
     backtracking = config.step_mode == "backtracking"
@@ -133,11 +130,8 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     for it in range(config.max_iters + 1):
         g = objective.grad(x)
         grad_evals += 1
-        if plain:
-            g_sq = float(np.vdot(g, g))
-            gnorm = math.sqrt(g_sq)
-        else:
-            gnorm = _weighted_norm(g, weights)
+        g_sq = float(np.vdot(g, g))
+        gnorm = math.sqrt(g_sq)
         # a finite gradient can only have a non-finite norm by overflow
         if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
             raise DivergenceError(
@@ -148,8 +142,6 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
             break
         iterations = it + 1
         if backtracking:
-            if not plain:
-                g_sq = float(np.einsum("md,md->", g, g))
             if accepted_any and _ARMIJO_C * h * g_sq <= 8.0 * _EPS * max(1.0, abs(fx)):
                 # the sufficient-decrease test is below floating resolution
                 # and would only measure rounding noise; coast on fixed

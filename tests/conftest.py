@@ -1,4 +1,5 @@
-"""Shared model builders, reference norms, reference local gradients and
+"""Shared model builders, reference norms, a central-difference Hessian
+quadratic form, single-index beta and eta, reference local gradients and
 fields, reference spike-coupling kernels, the enumerated normalizer of
 the exact spiking family, a reference decay-convexity sampler, the
 csv-module writers and readers that the bulk CSV I/O must match, a dying
@@ -30,6 +31,7 @@ from viterbipar import (
     simulate,
     stationary_covariance,
 )
+from viterbipar.certificates import _beta_array, _eta
 from viterbipar.core import gamma_weights
 from viterbipar.errors import ConfigError, ShapeError
 from viterbipar.objective import FullObjective
@@ -57,6 +59,47 @@ def weighted_norm_at(x, center_n, w):
     m = np.arange(x.blocks.shape[0])
     weights = float(w.gamma) ** np.abs(m - center_n)
     return math.sqrt(float(np.einsum("md,md->m", x.blocks, x.blocks) @ weights))
+
+
+# gradient difference step along v, before scaling by its discounted norm
+_HESSIAN_STEP = 1e-5
+
+
+def _weighted_norm(blocks, weights):
+    """sqrt(sum_m weights[m] |blocks[m]|^2)."""
+    return math.sqrt(float(np.einsum("md,md->m", blocks, blocks) @ weights))
+
+
+def hessian_quadratic_form(model, x, v, w):
+    """Discounted quadratic form of the objective curvature along v at x.
+
+    Uses the symmetric difference of the gradient with step _HESSIAN_STEP
+    scaled by the discounted norm of v, paired with the discounted inner
+    product. Exact (up to roundoff) for models with quadratic objectives.
+    """
+    obj = FullObjective(model)
+    xs = np.asarray(getattr(x, "blocks", x), dtype=float)
+    vs = np.asarray(getattr(v, "blocks", v), dtype=float)
+    obj._check(xs)
+    obj._check(vs)
+    weights = gamma_weights(vs.shape[0], w.gamma)
+    vnorm = _weighted_norm(vs, weights)
+    if vnorm == 0.0:
+        return 0.0
+    eps = _HESSIAN_STEP / vnorm
+    hv = (obj.grad(xs + eps * vs) - obj.grad(xs - eps * vs)) / (2.0 * eps)
+    return float(np.einsum("md,md->m", vs, hv) @ weights)
+
+
+def beta_at(model, m):
+    """beta_m alone: the library's one-pass beta array built through index m."""
+    return float(_beta_array(model, m)[m])
+
+
+def eta_at(model, n, r, w):
+    """The library's eta bound at index n and radius r, reading beta_n from
+    a beta array built through index n."""
+    return _eta(model, n, r, w, _beta_array(model, n))
 
 
 def grad_phi(model, xs, n):

@@ -15,11 +15,9 @@ from viterbipar import (
     LinearGaussianSignal,
     ModelSpec,
     alpha_gamma_n,
-    beta_m,
     certify_huber,
     certify_linear_gaussian,
     empirical_decay_convexity,
-    eta_bound,
     feasible_gamma_interval,
     lambda_max,
     segment_overlap_error_bound,
@@ -31,6 +29,8 @@ from viterbipar.core import gamma_weights
 from viterbipar.errors import CertificationError
 
 from conftest import (
+    beta_at,
+    eta_at,
     gamma_inner,
     gaussian_model,
     gaussian_model_with_obs,
@@ -206,8 +206,8 @@ def _unit_beta_model(length=60):
 
 class TestOneBetaPass:
     """Each bound evaluator builds beta once over its longest range: one
-    likelihood gradient call on the zero path. Its value is the one the
-    public beta / alpha / eta definitions give."""
+    likelihood gradient call on the zero path. Its value is the one that
+    single-index beta and eta and the public alpha give."""
 
     @staticmethod
     def _counted(model):
@@ -227,9 +227,9 @@ class TestOneBetaPass:
         gamma, lam2 = cert.chosen_gamma, cert.chosen_lambda ** 2
         w, n = GammaWeight(gamma), 12
         alpha = alpha_gamma_n(model, w, n)
-        want = (gamma ** n / lam2 * eta_bound(model, n, alpha / lam2, w)
-                + gamma ** (n + 1) / lam2 * eta_bound(model, n + 1, gamma * alpha / lam2, w)
-                + sum(gamma ** k * beta_m(model, k) for k in range(n + 2, 41)) / lam2)
+        want = (gamma ** n / lam2 * eta_at(model, n, alpha / lam2, w)
+                + gamma ** (n + 1) / lam2 * eta_at(model, n + 1, gamma * alpha / lam2, w)
+                + sum(gamma ** k * beta_at(model, k) for k in range(n + 2, 41)) / lam2)
         calls = self._counted(model)
         got = viterbi_distance_bound_eta(model, cert, n, 40)
         assert calls == [41]
@@ -245,7 +245,7 @@ class TestOneBetaPass:
         gamma, lam2 = cert.chosen_gamma, cert.chosen_lambda ** 2
         alpha = alpha_gamma_n(model, GammaWeight(gamma), n)
         lead = gamma ** (n - 1) * alpha * 2.0 * model.chi / lam2
-        want = (lead + sum(gamma ** k * beta_m(model, k) for k in range(n, tail + 1))) / lam2
+        want = (lead + sum(gamma ** k * beta_at(model, k) for k in range(n, tail + 1))) / lam2
         calls = self._counted(model)
         got = viterbi_distance_bound_chi(model, cert, n, tail)
         assert calls == [tail + 1]
@@ -258,7 +258,7 @@ class TestOneBetaPass:
         Delta, delta, tail = 10, 4, 30
         alpha = alpha_gamma_n(model, GammaWeight(gamma), Delta + delta)
         lead = gamma ** (delta - 1) * 2.0 * model.chi * alpha / lam2
-        want = (lead + sum(gamma ** k * beta_m(model, Delta + k) for k in range(delta, tail + 1))) / lam2
+        want = (lead + sum(gamma ** k * beta_at(model, Delta + k) for k in range(delta, tail + 1))) / lam2
         calls = self._counted(model)
         got = segment_overlap_error_bound(model, cert, Delta, delta, tail)
         assert calls == [41]
@@ -396,7 +396,7 @@ class TestEmpiricalDecayConvexity:
         model = gaussian_model_with_obs(rng.standard_normal(30), a=0.5)
         cert = certify_linear_gaussian(model.signal, lambda_g=0.0)
         report = empirical_decay_convexity(
-            model, cert, trials=300, seed=6, gamma=1.0, lam=cert.chosen_lambda
+            model, dataclasses.replace(cert, chosen_gamma=1.0), trials=300, seed=6
         )
         assert report.min_slack >= -1e-10
 

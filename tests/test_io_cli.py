@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -810,7 +811,15 @@ class TestCli:
             assert defaults["step_size"] == want.step_size
             assert defaults["max_iters"] == want.max_iters == 20000
             assert defaults["grad_tol"] == want.grad_tol
-            assert defaults["gamma"] == want.gamma.gamma
+            assert "gamma" not in defaults
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert fields == ["step_mode", "step_size", "max_iters", "grad_tol"]
+
+    def test_solve_has_no_stopping_discount(self, runner, tmp_path):
+        # the stop is on the plain 2-norm, so --gamma is only a certify flag
+        r = runner.invoke(main, [*_simulated_solve_args(runner, tmp_path), "--gamma", "0.5"])
+        assert r.exit_code == 2, r.output
+        assert r.output.startswith("Usage: ") and "No such option" in r.output and "--gamma" in r.output
 
     def test_report_keys(self, runner, tmp_path):
         solve_keys = {"command", "iterations", "converged", "stop_reason", "grad_evals",

@@ -25,9 +25,7 @@ from viterbipar import (
     StudentTEmission,
     WindowedObjective,
     alpha_gamma_n,
-    beta_m,
     build_segment_plan,
-    eta_bound,
     eval_U,
     finite_diff_grad,
     grad_U,
@@ -43,6 +41,8 @@ from viterbipar.errors import ShapeError, UnsupportedBoundError
 from conftest import (
     ReferencePseudo,
     balanced_spikes,
+    beta_at,
+    eta_at,
     exact_reference_kernels,
     gaussian_model_with_obs,
     grad_log_g,
@@ -190,17 +190,17 @@ class TestBetaAlpha:
     def test_stochvol_zero_residual(self):
         # residual (1, 1) at every index, b = b0 = 0 -> beta = 0
         model = _stochvol_fixed_residuals([1.0, 1.0])
-        assert beta_m(model, 1) == pytest.approx(0.0, abs=1e-14)
+        assert beta_at(model, 1) == pytest.approx(0.0, abs=1e-14)
 
     def test_stochvol_hand_value(self):
         # residual (2, 0): 0.25 * [(4-1)^2 + (0-1)^2] = 2.5
         model = _stochvol_fixed_residuals([2.0, 0.0])
-        assert beta_m(model, 2) == pytest.approx(2.5, abs=1e-12)
+        assert beta_at(model, 2) == pytest.approx(2.5, abs=1e-12)
 
     def test_gaussian_zero_observations(self):
         model = gaussian_model_with_obs(np.zeros(5))
         for m in range(5):
-            assert beta_m(model, m) == 0.0
+            assert beta_at(model, m) == 0.0
 
     def test_alpha_discounted_sum(self):
         model = gaussian_model_with_obs(np.ones(3), a=0.0)  # beta = 1 everywhere
@@ -216,11 +216,11 @@ class TestBetaAlpha:
         # indices take the max, the data horizon keeps only the backward
         # branch, index 0 the initial-density branch
         model = gaussian_model_with_obs(np.zeros(6), a=-0.5, b=1.0)
-        assert beta_m(model, 0) == pytest.approx(0.25, abs=1e-12)
-        assert beta_m(model, 2) == pytest.approx(2.25, abs=1e-12)
-        assert beta_m(model, 5) == pytest.approx(1.0, abs=1e-12)
+        assert beta_at(model, 0) == pytest.approx(0.25, abs=1e-12)
+        assert beta_at(model, 2) == pytest.approx(2.25, abs=1e-12)
+        assert beta_at(model, 5) == pytest.approx(1.0, abs=1e-12)
         # the truncation horizon of the internal pass must not change values
-        assert beta_m(model.window(0, 4), 2) == pytest.approx(2.25, abs=1e-12)
+        assert beta_at(model.window(0, 4), 2) == pytest.approx(2.25, abs=1e-12)
 
     def test_beta_depends_on_data_only_through_emission_gradient(self):
         # with b = b0 = 0 the transition terms vanish at the zero path, so
@@ -228,7 +228,7 @@ class TestBetaAlpha:
         ys = np.array([0.3, -1.0, 2.0, 0.1, -0.4])
         perm = [2, 0, 3, 4, 1]
         permuted = gaussian_model_with_obs(ys[perm], a=0.5)
-        got = [beta_m(permuted, m) for m in range(5)]
+        got = [beta_at(permuted, m) for m in range(5)]
         assert got == pytest.approx((ys[perm] ** 2).tolist(), rel=1e-12)
 
 
@@ -236,25 +236,25 @@ class TestEtaBound:
     def test_radius_zero_returns_beta(self):
         model = gaussian_model_with_obs([1.0, 2.0, 0.5])
         w = GammaWeight(0.5)
-        assert eta_bound(model, 1, 0.0, w) == pytest.approx(beta_m(model, 1), rel=1e-12)
+        assert eta_at(model, 1, 0.0, w) == pytest.approx(beta_at(model, 1), rel=1e-12)
 
     def test_generic_hand_value(self):
         # beta = 2, chi = 3, gamma = 0.5, r = 1 -> 2 + 3*1/0.5 = 8
         model = gaussian_model_with_obs([math.sqrt(2.0)] * 3, a=0.0)
         model.chi = 3.0
-        assert eta_bound(model, 1, 1.0, GammaWeight(0.5)) == pytest.approx(8.0, abs=1e-12)
+        assert eta_at(model, 1, 1.0, GammaWeight(0.5)) == pytest.approx(8.0, abs=1e-12)
 
     def test_stochvol_zero_radius_zero_residual(self):
         model = _stochvol_fixed_residuals([1.0, 1.0])
-        assert eta_bound(model, 1, 0.0, GammaWeight(0.5)) == pytest.approx(0.0, abs=1e-14)
+        assert eta_at(model, 1, 0.0, GammaWeight(0.5)) == pytest.approx(0.0, abs=1e-14)
 
     def test_stochvol_dominates_sampled_gradients(self, rng):
         model = stochvol_model(n=8)
         w = GammaWeight(0.6)
         for n_idx in (2, 5):
-            beta = beta_m(model, n_idx)
+            beta = beta_at(model, n_idx)
             for r in (0.25, 1.0, 4.0):
-                bound = eta_bound(model, n_idx, r, w)
+                bound = eta_at(model, n_idx, r, w)
                 assert bound >= beta - 1e-12
                 # sampled paths inside the centered ball stay below the bound
                 for _ in range(50):
@@ -270,7 +270,7 @@ class TestEtaBound:
     def test_unsupported_without_chi(self):
         model = student_model(n=4)
         with pytest.raises(UnsupportedBoundError):
-            eta_bound(model, 1, 1.0, GammaWeight(0.5))
+            eta_at(model, 1, 1.0, GammaWeight(0.5))
 
     def test_conjugate_chi_certifies_eta_at_bound_radii(self, rng):
         # the auto-computed quadratic-growth constant must make
@@ -284,8 +284,8 @@ class TestEtaBound:
         lam2 = cert.chosen_lambda**2
         n_idx = 5
         alpha = alpha_gamma_n(model, w, n_idx)
-        for r in (beta_m(model, n_idx) / lam2, alpha / lam2, w.gamma * alpha / lam2):
-            bound = eta_bound(model, n_idx, r, w)
+        for r in (beta_at(model, n_idx) / lam2, alpha / lam2, w.gamma * alpha / lam2):
+            bound = eta_at(model, n_idx, r, w)
             for _ in range(200):
                 xs = np.zeros((model.horizon + 1, model.dim))
                 xs[n_idx - 1 : n_idx + 2] = rng.standard_normal((3, model.dim))
@@ -338,6 +338,12 @@ def _coupling_loop(x, N):
     X = np.zeros((N, N))
     X[np.triu_indices(N, k=1)] = x
     return X + X.T
+
+
+def _pullback(drift, xs, v):
+    """Rows v_m' J(x_m) from the drift's ``linearize``, as the Huber
+    signal's spot check reads them."""
+    return drift.linearize(xs, np.empty(xs.shape))(v)
 
 
 def _centered_configs(N, rates_c):
@@ -417,16 +423,16 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(xs.blocks, xs_ref)
         np.testing.assert_array_equal(spikes, want)
 
-    def test_drift_vjp_matches_jacobian_rows(self, rng):
+    def test_drift_pullback_matches_jacobian_rows(self, rng):
         # reference Jacobians built here: diag(scale (1 - tanh^2 x)) and M
         xs = 2.0 * rng.standard_normal((9, 4))
         v = rng.standard_normal((9, 4))
         tanh = TanhDrift(0.7)
-        got = tanh.vjp(xs, v)
+        got = _pullback(tanh, xs, v)
         for m in range(9):
             np.testing.assert_array_equal(got[m], np.diag(0.7 * (1.0 - np.tanh(xs[m]) ** 2)).T @ v[m])
         M = rng.standard_normal((4, 4))
-        got = LinearDrift(M).vjp(xs, v)
+        got = _pullback(LinearDrift(M), xs, v)
         for m in range(9):
             np.testing.assert_allclose(got[m], M.T @ v[m], rtol=1e-14, atol=1e-15)
 
@@ -436,7 +442,7 @@ class TestBatchedKernels:
         # scale that is not a power of two rounds each side's product once
         # more, by at most half an ulp of scale
         xs = np.concatenate([np.linspace(-25.0, 25.0, 200_001), 4.0 * rng.standard_normal(100_000)])
-        J = TanhDrift(scale).vjp(xs[:, None], np.ones((xs.size, 1)))[:, 0]
+        J = _pullback(TanhDrift(scale), xs[:, None], np.ones((xs.size, 1)))[:, 0]
         err = np.abs(J - scale / np.cosh(xs) ** 2)
         assert np.max(err) <= ulps * np.finfo(float).eps * scale
 
@@ -446,7 +452,7 @@ class TestBatchedKernels:
         path = np.array([[0.3, -0.2], [800.0, 1.0], [-800.0, 0.0], [0.1, 0.4]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            J = TanhDrift(0.5).vjp(xs, np.ones_like(xs))
+            J = _pullback(TanhDrift(0.5), xs, np.ones_like(xs))
             G = sig.grad_log_transitions(path)
             model = ModelSpec(sig, GaussianEmission(np.eye(2), np.eye(2)), observations=np.zeros((4, 2)))
             U = grad_U(model, path).blocks
@@ -481,7 +487,7 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
         assert sig.log_f_sum(xs) == pytest.approx(-np.sum(penalty) - 39 * sig._log_z, rel=1e-14)
 
-    def test_drift_spot_check_reads_jacobians_from_vjp(self, rng):
+    def test_drift_spot_check_reads_jacobians_from_the_pullback(self, rng):
         M = rng.standard_normal((3, 3))
         cases = ((LinearDrift(M), float(np.linalg.norm(M, 2)), 0.0), (TanhDrift(0.4), 0.4, 0.77 * 0.4))
         for drift, L_A, L_grad_A in cases:
@@ -877,7 +883,7 @@ class TestObservationShape:
             ModelSpec(model.signal, model.likelihood, observations=np.ones((6, 3, 2)))
 
     def test_stoch_vol_factors_must_cover_the_observations(self):
-        # 5 factor rows for 11 observations: eta_bound and the solves would
+        # 5 factor rows for 11 observations: the eta bound and the solves would
         # otherwise fail later, at the first index past the factors
         model = stochvol_model(d=2, n=10)
         short = StochVolFactor(model.likelihood.B, model.likelihood.factors[:5])

@@ -12,7 +12,6 @@ from viterbipar import (
     eval_U,
     finite_diff_grad,
     grad_U,
-    hessian_quadratic_form,
 )
 from viterbipar.core import gamma_weights
 from viterbipar.errors import ShapeError, UnsupportedModeError
@@ -20,6 +19,7 @@ from viterbipar.errors import ShapeError, UnsupportedModeError
 from conftest import (
     gaussian_model_with_obs,
     grad_log_g,
+    hessian_quadratic_form,
     huber_signal,
     lg_signal,
     log_g_terms,

@@ -1,8 +1,12 @@
-"""Package surface: every exported name resolves, and the runtime needs no scipy."""
+"""Package surface: every exported name resolves and has a caller, the
+benchmark's names and keywords exist, the README's example runs, and the
+runtime needs no scipy."""
 
 import ast
 import contextlib
 import importlib
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -67,15 +71,60 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _names_read(tree) -> set:
+    """Names a module reads, as a bare name or an attribute, outside the
+    def or class that defines them. Import and ``__all__`` lists hold no
+    such node, so they do not count."""
+    found = set()
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        elif isinstance(node, ast.Name) and node.id not in own:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in a module's ``__all__`` is read somewhere in src/ outside its
+    # own def or class, or is read or imported by bench/; a name that only
+    # tests call belongs in the tests
+    package = Path(viterbipar.__file__).parent
+    bench = package.parents[1] / "bench"
+    exported, read = {}, set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                for elt in node.value.elts:
+                    exported.setdefault(elt.value, []).append(str(path.relative_to(package)))
+        read |= _names_read(tree)
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= _names_read(tree)
+        read |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    assert len(exported) > 40
+    assert sorted(f"{name} ({', '.join(modules)})" for name, modules in exported.items()
+                  if name not in read) == []
+
+
 def test_library_has_every_name_the_benchmark_reads():
     # bench/ is run as committed against each version of the library, so a
     # name it reads must not go: module attributes through its import
     # aliases, ``from viterbipar... import`` names, and the family methods
-    # that ``traced_model`` wraps in spans
+    # that ``traced_model`` wraps in spans. Every call of a library callable
+    # must bind its arguments and keywords to the callable's signature.
     from viterbipar.models import likelihoods, signals
 
     bench = Path(__file__).resolve().parents[1] / "bench"
-    missing, aliases, wrapped = [], set(), set()
+    missing, aliases, wrapped, called = [], set(), set(), set()
 
     def check(owner, name):
         if not hasattr(owner, name):
@@ -85,6 +134,7 @@ def test_library_has_every_name_the_benchmark_reads():
     for path in sorted(bench.glob("*.py")):
         tree = ast.parse(path.read_text())
         modules = {}  # this file's names for viterbipar modules
+        imported = {}  # this file's names for other viterbipar objects
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -99,6 +149,8 @@ def test_library_has_every_name_the_benchmark_reads():
                     value = check(importlib.import_module(node.module), alias.name)
                     if isinstance(value, type(viterbipar)):
                         modules[alias.asname or alias.name] = value
+                    elif value is not None:
+                        imported[alias.asname or alias.name] = value
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in modules:
@@ -106,6 +158,22 @@ def test_library_has_every_name_the_benchmark_reads():
             elif isinstance(node, ast.FunctionDef) and node.name == "traced_model":
                 wrapped |= {(call.args[1].value.id, call.args[1].attr) for call in ast.walk(node)
                             if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "wrap"}
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                        and func.value.id in modules:
+                    target = getattr(modules[func.value.id], func.attr, None)
+                else:
+                    target = imported.get(getattr(func, "id", None))
+                if not callable(target):
+                    continue
+                called.add(target.__name__)
+                args = [] if any(isinstance(a, ast.Starred) for a in node.args) else node.args
+                keywords = {kw.arg: None for kw in node.keywords if kw.arg is not None}
+                try:
+                    inspect.signature(target).bind_partial(*[None] * len(args), **keywords)
+                except TypeError as exc:
+                    missing.append(f"{path.name}:{node.lineno} {target.__name__}: {exc}")
         aliases |= set(modules)
     families = {"sig": (signals.LinearGaussianSignal, signals.HuberNonlinearSignal),
                 "lik": tuple(getattr(likelihoods, name) for name in likelihoods.__all__
@@ -114,4 +182,23 @@ def test_library_has_every_name_the_benchmark_reads():
         for cls in families[var]:
             check(cls, method)
     assert {"vp", "vio"} <= aliases and len(wrapped) == 4
+    assert {"SolverConfig", "estimate_grad_lipschitz", "empirical_decay_convexity",
+            "solve_parallel", "NeuralPseudo", "ModelSpec"} <= called
     assert missing == []
+
+
+def test_readme_library_sketch_runs(capsys):
+    # the README's one Python example, run as written: a public name it
+    # imports or calls that goes or is renamed fails here
+    from viterbipar.parallel import _release_pool
+
+    readme = Path(viterbipar.__file__).resolve().parents[2] / "README.md"
+    blocks = readme.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    try:
+        exec(compile(blocks[0].split("```")[0], str(readme), "exec"), {})
+    finally:
+        _release_pool()  # the example's four-worker pool
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["stitching error", "certified first-segment bound"]
+    assert all(math.isfinite(float(line.split(":")[1])) for line in lines)
