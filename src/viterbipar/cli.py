@@ -72,10 +72,8 @@ def _load_model(model_path, obs_path) -> ModelSpec:
     model = vio.load_model_config(model_path)
     if isinstance(model.likelihood, _NEURAL):
         if obs_path is not None:
-            spikes, rates, _ = vio.read_spike_bundle(obs_path)
-            lik = type(model.likelihood)(
-                spikes.shape[2], spikes.shape[1], rates_c=rates, spikes=spikes
-            )
+            spikes = vio.read_spike_bundle(obs_path)
+            lik = type(model.likelihood)(spikes.shape[2], spikes.shape[1], spikes=spikes)
             model = ModelSpec(model.signal, lik, observations=None, chi=model.chi)
         return model
     if obs_path is None:

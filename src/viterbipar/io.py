@@ -141,7 +141,7 @@ def read_factors_csv(path) -> np.ndarray:
 # Spike bundles: one CSV per trial plus a JSON manifest
 # ---------------------------------------------------------------------------
 
-def write_spike_bundle(directory, spikes: np.ndarray, bin_width: float = 0.01):
+def write_spike_bundle(directory, spikes: np.ndarray):
     """Write spikes (T, R, N) as trial_<k>.csv files plus manifest.json.
 
     Trial files are headerless 0/1 grids: rows are time bins, columns are
@@ -168,7 +168,7 @@ def write_spike_bundle(directory, spikes: np.ndarray, bin_width: float = 0.01):
         name = f"trial_{k}.csv"
         files.append(name)
         (directory / name).write_bytes(grid[k].tobytes())
-    manifest = {"N": N, "R": R, "bin_width": bin_width, "files": files}
+    manifest = {"N": N, "R": R, "files": files}
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -176,18 +176,15 @@ def write_spike_bundle(directory, spikes: np.ndarray, bin_width: float = 0.01):
 
 
 def read_spike_bundle(manifest_path):
-    """Load a spike bundle; returns (spikes (T,R,N), rates, bin_width).
-
-    Spikes are float64, one ``np.loadtxt`` parse per trial file. Per-neuron
-    rates are the empirical means over bins and trials.
-    """
+    """Load a spike bundle as a float64 (T, R, N) array, one ``np.loadtxt``
+    parse per trial file. Manifest keys other than ``N``, ``R`` and
+    ``files`` (older bundles list ``bin_width``) are not read."""
     manifest_path = Path(manifest_path)
     manifest = _read_json(manifest_path)
     try:
         N, R = manifest["N"], manifest["R"]
         files = manifest["files"]
-        bin_width = float(manifest.get("bin_width", 0.01))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: bad spike manifest: {exc}") from exc
     if type(N) is not int or type(R) is not int:  # a bool is no int here
         raise ConfigError(f"{manifest_path}: bad spike manifest: 'N' and 'R' must be integers, "
@@ -209,9 +206,7 @@ def read_spike_bundle(manifest_path):
     counts = sorted({trial.shape[0] for trial in trials})
     if len(counts) > 1:
         raise ConfigError(f"{manifest_path}: trial files differ in row count: {counts}")
-    spikes = np.stack(trials, axis=1)
-    rates = spikes.mean(axis=(0, 1))
-    return spikes, rates, bin_width
+    return np.stack(trials, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +315,9 @@ def _build_likelihood(cfg, base_dir):
             raise ConfigError("likelihood: stoch_vol needs 'factors' or 'factors_csv'")
         return StochVolFactor(B, factors)
     if kind in ("neural_pseudo", "neural_exact"):
-        spikes, rates, _ = read_spike_bundle(base_dir / _typed(cfg, "manifest", "likelihood", str))
+        spikes = read_spike_bundle(base_dir / _typed(cfg, "manifest", "likelihood", str))
         cls = NeuralPseudo if kind == "neural_pseudo" else NeuralExact
-        return cls(spikes.shape[2], spikes.shape[1], rates_c=rates, spikes=spikes)
+        return cls(spikes.shape[2], spikes.shape[1], spikes=spikes)
     raise ConfigError(f"likelihood: unknown type {kind!r}")
 
 

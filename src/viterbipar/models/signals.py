@@ -1,5 +1,7 @@
 """Signal priors: the linear-Gaussian chain and a Huber-noise nonlinear chain.
 
+Both are the chain x_m = A(x_{m-1}) + b + w_m, whose transition kernels
+``_Chain`` writes once; a family supplies only its drift and noise law.
 Both expose the same array-level interface used by the objective assembly:
 log densities of the initial block and the transitions, their block
 gradients, marginal parameters where available, and exact path sampling.
@@ -98,7 +100,124 @@ def stationary_covariance(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.T)
 
 
-class LinearGaussianSignal:
+# ---------------------------------------------------------------------------
+# Drifts and the transition kernel both families share
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LinearDrift:
+    """Drift A(x) = M x with constant Jacobian M.
+
+    A square diagonal M is held as one kernel factor (``_diag_factor``),
+    which multiplies a stack of points; any other M is a matmul. The
+    choice is made once, here. A single point is always ``M @ x``.
+    """
+
+    M: np.ndarray
+
+    def __post_init__(self):
+        M = np.atleast_2d(np.asarray(self.M, dtype=float))
+        object.__setattr__(self, "M", M)
+        diagonal = M.ndim == 2 and 0 < M.shape[0] == M.shape[1] and _is_diagonal(M)
+        object.__setattr__(self, "_f", _diag_factor(np.diag(M)) if diagonal else None)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 2:
+            return self.M @ x
+        return x @ self.M.T if self._f is None else x * self._f
+
+    def linearize(self, xs: np.ndarray, out: np.ndarray):
+        """Write the drift of a stack of points into ``out`` and return the
+        pullback v -> rows v_m' J(x_m)."""
+        if self._f is None:
+            np.matmul(xs, self.M.T, out=out)
+            return lambda v: v @ self.M
+        np.multiply(xs, self._f, out=out)
+        return lambda v: v * self._f
+
+
+@dataclass(frozen=True)
+class TanhDrift:
+    """Coordinate-wise saturating drift A(x) = scale * tanh(x)."""
+
+    scale: float = 0.5
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        A = np.tanh(x)
+        A *= self.scale
+        return A
+
+    def linearize(self, xs: np.ndarray, out: np.ndarray):
+        """Write the drift of a stack of points into ``out`` and return the
+        pullback v -> rows v_m' J(x_m), from one tanh.
+
+        J(x) is diag(scale sech^2 x) with sech^2 = 1 - tanh^2, which is
+        exactly zero where tanh rounds to +-1 (cosh overflows from about
+        |x| = 711). The pullback works in the tanh's own array, so it is
+        called at most once.
+        """
+        t = np.tanh(xs)
+        np.multiply(t, self.scale, out=out)
+
+        def pullback(v):
+            np.multiply(t, t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.multiply(t, self.scale, out=t)
+            return np.multiply(t, v, out=t)
+
+        return pullback
+
+
+class _Chain:
+    """Transition kernels of the chain x_m = A(x_{m-1}) + b + w_m, written
+    once for both families.
+
+    A family holds ``drift_map`` (a point or an (m, d) stack of points to
+    a fresh array, plus ``linearize``), the offset ``b`` and
+    ``_b_nonzero``, and supplies the noise law: ``_log_noise(W)``, the
+    summed log density of the noise rows W, which it may overwrite, and
+    ``_score(V)``, which turns V = -w_m in place into the score
+    d/dw log p(w_m).
+    """
+
+    def residuals(self, xs: np.ndarray) -> np.ndarray:
+        """Transition residuals w_m = x_m - A(x_{m-1}) - b for m = 1..n,
+        computed in the drift's fresh array, which callers reuse as scratch."""
+        W = self.drift_map(xs[:-1])
+        np.subtract(xs[1:], W, out=W)
+        if self._b_nonzero:
+            W -= self.b
+        return W
+
+    def log_f_sum(self, xs: np.ndarray) -> float:
+        """Sum over m of log f(x_{m-1}, x_m)."""
+        return 0.0 if xs.shape[0] == 1 else self._log_noise(self.residuals(xs))
+
+    def grad_log_transitions(self, xs: np.ndarray) -> np.ndarray:
+        """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term):
+        the score s(w_m) on block m, -J(x_{m-1})' s(w_m) on block m - 1.
+
+        The drift writes A(x_{m-1}) straight into block m, which becomes
+        A(x_{m-1}) + b - x_m = -w_m exactly (rounding is symmetric in
+        sign), and the family's score turns that into s(w_m) in place. The
+        drift's pullback of it is subtracted from block m - 1. Besides G,
+        only the drift's and the score's scratch is allocated.
+        """
+        G = np.empty_like(xs, dtype=float)
+        G[0] = 0.0
+        if xs.shape[0] == 1:
+            return G
+        V = G[1:]
+        pullback = self.drift_map.linearize(xs[:-1], V)
+        V -= xs[1:]
+        if self._b_nonzero:
+            V += self.b
+        self._score(V)
+        G[:-1] -= pullback(V)
+        return G
+
+
+class LinearGaussianSignal(_Chain):
     """x_0 ~ N(b0, Sigma0), x_m = A x_{m-1} + b + N(0, Sigma) noise.
 
     Parameters
@@ -109,10 +228,12 @@ class LinearGaussianSignal:
     b0 : (d,) array
     Sigma0 : (d, d) SPD array, initial covariance
 
-    When A and Sigma are diagonal the transition kernels multiply by their
-    diagonals, and a diagonal whose entries are all equal (A = a I,
-    Sigma = s I) is held as one float: numpy loops over a (d,) operand d
-    elements at a time, while a scalar costs one pass over the path.
+    The transitions run on the shared chain kernel with ``drift_map =
+    LinearDrift(A)``, which multiplies by a diagonal A, and the noise
+    multiplies by the diagonal of Sigma^-1 when Sigma is diagonal. A
+    diagonal whose entries are all equal (A = a I, Sigma = s I) is held as
+    one float: numpy loops over a (d,) operand d elements at a time, while
+    a scalar costs one pass over the path.
     """
 
     def __init__(self, A, b, Sigma, b0, Sigma0):
@@ -136,11 +257,9 @@ class LinearGaussianSignal:
         self.Sigma_inv = np.linalg.inv(self.Sigma)
         self.Sigma0_inv = np.linalg.inv(self.Sigma0)
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
-        # diagonal fast path of the transition terms
-        self._diag = _is_diagonal(self.A) and _is_diagonal(self.Sigma)
-        if self._diag:
-            self._a_d = _diag_factor(np.diag(self.A))
-            self._si_d = _diag_factor(np.diag(self.Sigma_inv))
+        self.drift_map = LinearDrift(self.A)
+        # the noise's Sigma^-1 factor, None for a matmul
+        self._si_d = _diag_factor(np.diag(self.Sigma_inv)) if _is_diagonal(self.Sigma) else None
 
     @property
     def dim(self) -> int:
@@ -153,61 +272,21 @@ class LinearGaussianSignal:
         q = float(r @ self.Sigma0_inv @ r)
         return -0.5 * (q + self._logdet_S0 + self.dim * _LOG_2PI)
 
-    def residuals(self, xs: np.ndarray) -> np.ndarray:
-        """Transition residuals w_m = x_m - A x_{m-1} - b for m = 1..n, as a
-        fresh array the callers below reuse as scratch."""
-        W = np.empty((xs.shape[0] - 1, xs.shape[1]))
-        if self._diag:
-            np.multiply(xs[:-1], self._a_d, out=W)
+    def _log_noise(self, W: np.ndarray) -> float:
+        if self._si_d is None:
+            q = float(np.einsum("md,md->", W @ self.Sigma_inv, W))
         else:
-            np.matmul(xs[:-1], self.A.T, out=W)
-        np.subtract(xs[1:], W, out=W)
-        if self._b_nonzero:
-            W -= self.b
-        return W
-
-    def log_f_sum(self, xs: np.ndarray) -> float:
-        """Sum over m of log f(x_{m-1}, x_m)."""
-        n = xs.shape[0] - 1
-        if n == 0:
-            return 0.0
-        W = self.residuals(xs)
-        if self._diag:
             np.multiply(W, W, out=W)
             W *= self._si_d
             q = float(np.sum(W))
+        return -0.5 * (q + W.shape[0] * (self._logdet_S + self.dim * _LOG_2PI))
+
+    def _score(self, V: np.ndarray):
+        """-w_m -> -Sigma^-1 w_m in place."""
+        if self._si_d is None:
+            V[...] = V @ self.Sigma_inv
         else:
-            q = float(np.einsum("md,md->", W @ self.Sigma_inv, W))
-        return -0.5 * (q + n * (self._logdet_S + self.dim * _LOG_2PI))
-
-    def grad_log_transitions(self, xs: np.ndarray) -> np.ndarray:
-        """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term):
-        -Sigma^-1 w_m on block m, A' Sigma^-1 w_{m+1} added on block m.
-
-        The diagonal path writes A x_{m-1} + b - x_m, which is -w_m exactly
-        (rounding is symmetric in sign), straight into block m, scales it
-        by Sigma^-1 there and subtracts A times it from block m - 1: the
-        same bits as negating Sigma^-1 w_m, in five passes over the path.
-        """
-        G = np.empty_like(xs, dtype=float)
-        G[0] = 0.0
-        if xs.shape[0] == 1:
-            return G
-        if self._diag:
-            V = G[1:]
-            np.multiply(xs[:-1], self._a_d, out=V)
-            V -= xs[1:]
-            if self._b_nonzero:
-                V += self.b
             V *= self._si_d
-            G[:-1] -= V * self._a_d
-            return G
-        W = self.residuals(xs)
-        SiW = W @ self.Sigma_inv
-        np.negative(SiW, out=G[1:])
-        np.matmul(SiW, self.A, out=W)
-        G[:-1] += W
-        return G
 
     def grad_log_mu(self, x0: np.ndarray) -> np.ndarray:
         return -self.Sigma0_inv @ (x0 - self.b0)
@@ -319,59 +398,8 @@ def _sample_huber_noise(c: float, size: int, rng: np.random.Generator) -> np.nda
     return out
 
 
-@dataclass(frozen=True)
-class LinearDrift:
-    """Drift A(x) = M x with constant Jacobian M."""
-
-    M: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", np.atleast_2d(np.asarray(self.M, dtype=float)))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.M.T if x.ndim == 2 else self.M @ x
-
-    def linearize(self, xs: np.ndarray, out: np.ndarray):
-        """Write the drift of a stack of points into ``out`` and return the
-        pullback v -> rows v_m' J(x_m)."""
-        np.matmul(xs, self.M.T, out=out)
-        return lambda v: v @ self.M
-
-
-@dataclass(frozen=True)
-class TanhDrift:
-    """Coordinate-wise saturating drift A(x) = scale * tanh(x)."""
-
-    scale: float = 0.5
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        A = np.tanh(x)
-        A *= self.scale
-        return A
-
-    def linearize(self, xs: np.ndarray, out: np.ndarray):
-        """Write the drift of a stack of points into ``out`` and return the
-        pullback v -> rows v_m' J(x_m), from one tanh.
-
-        J(x) is diag(scale sech^2 x) with sech^2 = 1 - tanh^2, which is
-        exactly zero where tanh rounds to +-1 (cosh overflows from about
-        |x| = 711). The pullback works in the tanh's own array, so it is
-        called at most once.
-        """
-        t = np.tanh(xs)
-        np.multiply(t, self.scale, out=out)
-
-        def pullback(v):
-            np.multiply(t, t, out=t)
-            np.subtract(1.0, t, out=t)
-            np.multiply(t, self.scale, out=t)
-            return np.multiply(t, v, out=t)
-
-        return pullback
-
-
 @dataclass
-class HuberNonlinearSignal:
+class HuberNonlinearSignal(_Chain):
     """x_m = A(x_{m-1}) + b + w_m with Huber-tailed noise, mu proportional
     to exp(-psi0(x)) with the same Huber penalty.
 
@@ -440,47 +468,15 @@ class HuberNonlinearSignal:
     def log_mu(self, x0: np.ndarray) -> float:
         return -float(np.sum(huber(x0, self.huber_c))) - self._log_z
 
-    def residuals(self, xs: np.ndarray) -> np.ndarray:
-        """Transition residuals w_m = x_m - A(x_{m-1}) - b for m = 1..n,
-        computed in the drift's fresh array."""
-        W = self.drift_map(xs[:-1])
-        np.subtract(xs[1:], W, out=W)
-        if self._b_nonzero:
-            W -= self.b
-        return W
-
-    def log_f_sum(self, xs: np.ndarray) -> float:
-        n = xs.shape[0] - 1
-        if n == 0:
-            return 0.0
-        W = self.residuals(xs)
+    def _log_noise(self, W: np.ndarray) -> float:
         np.abs(W, out=W)
-        return -float(np.sum(_twice_c_huber(W, self.huber_c))) / (2.0 * self.huber_c) - n * self._log_z
+        c = self.huber_c
+        return -float(np.sum(_twice_c_huber(W, c))) / (2.0 * c) - W.shape[0] * self._log_z
 
-    def grad_log_transitions(self, xs: np.ndarray) -> np.ndarray:
-        """Block gradients of sum_m log f(x_{m-1}, x_m) (no initial term):
-        -psi'(w_m) on block m, J(x_{m-1})' psi'(w_m) added on block m - 1.
-
-        The drift writes A(x_{m-1}) straight into block m, which becomes
-        A(x_{m-1}) + b - x_m = -w_m exactly (rounding is symmetric in
-        sign), then -psi'(w_m) = clip(-w_m / c, -1, 1) in place. The
-        drift's pullback of that is subtracted from block m - 1: the same
-        bits as adding J' psi'(w_m). Besides G, only the drift's scratch is
-        allocated.
-        """
-        G = np.empty_like(xs, dtype=float)
-        G[0] = 0.0
-        if xs.shape[0] == 1:
-            return G
-        V = G[1:]
-        pullback = self.drift_map.linearize(xs[:-1], V)
-        V -= xs[1:]
-        if self._b_nonzero:
-            V += self.b
+    def _score(self, V: np.ndarray):
+        """-w_m -> -psi'(w_m) = clip(-w_m / c, -1, 1) in place."""
         V /= self.huber_c
         np.clip(V, -1.0, 1.0, out=V)
-        G[:-1] -= pullback(V)
-        return G
 
     def grad_log_mu(self, x0: np.ndarray) -> np.ndarray:
         return -huber_grad(x0, self.huber_c)

@@ -288,7 +288,7 @@ def reference_read_table_csv(path, prefix):
     return np.asarray(rows, dtype=float)
 
 
-def reference_write_spike_bundle(directory, spikes, bin_width=0.01):
+def reference_write_spike_bundle(directory, spikes):
     spikes = np.asarray(spikes)
     T, R, N = spikes.shape
     directory = Path(directory)
@@ -299,7 +299,7 @@ def reference_write_spike_bundle(directory, spikes, bin_width=0.01):
         files.append(name)
         with open(directory / name, "w", newline="") as fh:
             csv.writer(fh).writerows(spikes[:, k].astype(np.int64).tolist())
-    manifest = {"N": N, "R": R, "bin_width": bin_width, "files": files}
+    manifest = {"N": N, "R": R, "files": files}
     with open(directory / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -314,8 +314,7 @@ def reference_read_spike_bundle(manifest_path):
     for name in manifest["files"]:
         with open(manifest_path.parent / name, newline="") as fh:
             trials.append(np.asarray([[float(v) for v in row] for row in csv.reader(fh) if row]))
-    spikes = np.stack(trials, axis=1)
-    return spikes, spikes.mean(axis=(0, 1)), float(manifest.get("bin_width", 0.01))
+    return np.stack(trials, axis=1)
 
 
 def reference_write_sweep_csv(path, rows, bounds=None):

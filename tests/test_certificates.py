@@ -26,7 +26,7 @@ from viterbipar import (
 )
 from viterbipar.certificates import DecayConvexityCertificate, GammaInterval
 from viterbipar.core import gamma_weights
-from viterbipar.errors import CertificationError
+from viterbipar.errors import CertificationError, UnsupportedBoundError
 
 from conftest import (
     beta_at,
@@ -286,6 +286,16 @@ class TestBounds:
         t2 = gamma ** (n + 1) / lam2 * (1 + gamma * alpha / lam2 / gamma)
         t3 = (gamma ** (n + 2) - gamma ** (tail + 1)) / (1 - gamma) / lam2
         assert got == pytest.approx(t1 + t2 + t3, rel=1e-12)
+
+    def test_eta_route_needs_chi_on_a_huber_model(self):
+        # no conjugate chi and no specialized bound for a Huber-noise signal
+        sig = huber_signal(d=2)
+        model = ModelSpec(sig, GaussianEmission(np.eye(2), 0.25 * np.eye(2)), observations=np.ones((21, 2)))
+        cert = certify_huber(sig, lambda_g=-4.0)  # -lambda_min(C' R^-1 C)
+        assert cert.feasible and model.chi is None
+        with pytest.raises(UnsupportedBoundError, match="chi is unset"):
+            viterbi_distance_bound_eta(model, cert, 3, 20)
+        assert math.isfinite(viterbi_distance_bound_eta(dataclasses.replace(model, chi=1.0), cert, 3, 20))
 
     def test_eta_route_zero_data(self):
         model = gaussian_model_with_obs(np.zeros(30), a=0.0)

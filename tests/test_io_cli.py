@@ -108,11 +108,13 @@ class TestTables:
 
     def test_spike_bundle_roundtrip(self, tmp_path):
         spikes = random_spikes(4, 3, 9)
-        manifest = vio.write_spike_bundle(tmp_path / "spk", spikes, bin_width=0.01)
-        back, rates, width = vio.read_spike_bundle(manifest)
-        assert np.array_equal(spikes, back)
-        assert width == 0.01
-        np.testing.assert_allclose(rates, spikes.mean(axis=(0, 1)))
+        manifest = vio.write_spike_bundle(tmp_path / "spk", spikes)
+        assert set(json.loads(manifest.read_text())) == {"N", "R", "files"}
+        assert np.array_equal(vio.read_spike_bundle(manifest), spikes)
+        # a manifest written before bin_width was dropped still loads
+        content = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**content, "bin_width": 0.01}))
+        assert np.array_equal(vio.read_spike_bundle(manifest), spikes)
 
     def test_spike_bundle_bytes_for_float_int_and_bool(self, tmp_path):
         spikes = random_spikes(5, 3, 11)
@@ -608,7 +610,7 @@ class TestCli:
 
     def test_one_neuron_bundle_reads_but_no_family_takes_it(self, runner, tmp_path):
         manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(1, 2, 6, seed=1))
-        assert vio.read_spike_bundle(manifest)[0].shape == (6, 2, 1)
+        assert vio.read_spike_bundle(manifest).shape == (6, 2, 1)
         cfg = json.loads(write_lg_config(tmp_path / "m.json", d=1).read_text())
         cfg["likelihood"] = {"type": "neural_pseudo", "manifest": str(manifest)}
         (tmp_path / "m.json").write_text(json.dumps(cfg))
@@ -987,5 +989,60 @@ class TestCli:
         r = runner.invoke(main, ["simulate", "--model", str(tmp_path / "m.json"), "--n", "6",
                                  "--seed", "3", "--out", str(sim)])
         assert r.exit_code == 0, r.output
-        back, rates, _ = vio.read_spike_bundle(sim / "spikes" / "manifest.json")
+        back = vio.read_spike_bundle(sim / "spikes" / "manifest.json")
         assert back.shape == (7, 4, 3)
+
+    @staticmethod
+    def _spike_model(tmp_path, N=3):
+        """A pseudo-likelihood model on N neurons whose manifest names one
+        bundle, and a second bundle of 9 bins for ``--obs``."""
+        d = N * (N - 1) // 2
+        manifest = vio.write_spike_bundle(tmp_path / "spk", random_spikes(N, 2, 13, seed=9))
+        cfg = json.loads(write_lg_config(tmp_path / "m.json", d=d).read_text())
+        cfg["likelihood"] = {"type": "neural_pseudo", "manifest": str(manifest)}
+        (tmp_path / "m.json").write_text(json.dumps(cfg))
+        return tmp_path / "m.json"
+
+    def test_spike_model_solves_on_the_obs_bundle(self, runner, tmp_path):
+        cfg = self._spike_model(tmp_path)
+        other = random_spikes(3, 2, 9, seed=10)
+        obs = vio.write_spike_bundle(tmp_path / "other", other)
+        spec = vio.load_model_config(cfg)
+        model = ModelSpec(spec.signal, viterbipar.NeuralPseudo(3, 2, spikes=other))
+        config = SolverConfig(grad_tol=1e-9)
+        want = {"solve": viterbipar.solve_map(model, config).solution.blocks,
+                "solve-par": viterbipar.solve_parallel(
+                    model, viterbipar.build_segment_plan(8, 3, 1), config).stitched.blocks}
+        for command, extra in (("solve", []), ("solve-par", ["--l", "3", "--delta", "1"])):
+            out = tmp_path / command
+            r = runner.invoke(main, [command, "--model", str(cfg), "--obs", str(obs), "--out", str(out),
+                                     "--grad-tol", "1e-9", *extra])
+            assert r.exit_code == 0, r.output
+            np.testing.assert_array_equal(vio.read_table_csv(out / "solution.csv", "x"), want[command])
+
+    def test_spike_obs_bundle_of_other_neurons_exits_2(self, runner, tmp_path):
+        cfg = self._spike_model(tmp_path)
+        obs = vio.write_spike_bundle(tmp_path / "other", random_spikes(4, 2, 9, seed=10))
+        r = runner.invoke(main, ["solve", "--model", str(cfg), "--obs", str(obs), "--out", str(tmp_path / "x")])
+        assert r.exit_code == 2, r.output
+        lines = r.stderr.strip().splitlines()
+        assert lines == ["configuration error: NeuralPseudo: 4 neurons need state dimension 6, "
+                         "the signal's state dimension is 3"]
+        assert not (tmp_path / "x").exists()
+
+    def test_certify_with_obs_prints_the_chi_bound(self, runner, tmp_path):
+        cfg = write_lg_config(tmp_path / "m.json", a=0.5, d=2)
+        sim = tmp_path / "sim"
+        r = runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "20", "--seed", "5", "--out", str(sim)])
+        assert r.exit_code == 0, r.output
+        r = runner.invoke(main, ["certify", "--model", str(cfg), "--obs", str(sim / "observations.csv")])
+        assert r.exit_code == 0, r.output
+        spec = vio.load_model_config(cfg)
+        model = ModelSpec(spec.signal, spec.likelihood,
+                          observations=vio.read_observations_csv(sim / "observations.csv"))
+        cert = viterbipar.certify_linear_gaussian(model.signal, lambda_g=0.0)
+        assert json.loads(r.output)["bounds"] == {
+            "viterbi_distance_chi": viterbipar.viterbi_distance_bound_chi(model, cert, 10, 20),
+            "at_horizon": 10,
+            "tail_horizon": 20,
+        }

@@ -115,13 +115,16 @@ class TestLocalGradients:
         g = lik.grad(np.array([[1.0]]), np.array([[0.0]]))
         assert g[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("family", ["gaussian", "student", "stochvol", "pseudo", "exact"])
+    @pytest.mark.parametrize("family", ["gaussian", "student", "stochvol", "pseudo", "exact",
+                                        "huber-diagonal", "huber-dense"])
     def test_grad_phi_matches_finite_differences(self, family, rng):
         n = 6
         if family == "gaussian":
             model = gaussian_model_with_obs(rng.standard_normal(n + 1), a=0.5)
         elif family == "student":
             model = student_model(n=n)
+        elif family.startswith("huber"):
+            model = student_model(n=n, d=3, signal=_linear_huber(family[6:], rng.standard_normal(3)))
         elif family == "stochvol":
             model = stochvol_model(n=n)
         else:
@@ -487,6 +490,42 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(sig.grad_log_transitions(xs), want)
         assert sig.log_f_sum(xs) == pytest.approx(-np.sum(penalty) - 39 * sig._log_z, rel=1e-14)
 
+    @pytest.mark.parametrize("drift", ["tanh", "diagonal", "dense"])
+    def test_huber_chain_at_a_single_block(self, rng, drift):
+        # no transition: a +0.0 value and a zero gradient (the linear-Gaussian
+        # family's single block is checked with its kernels)
+        b = rng.standard_normal(3)
+        if drift == "tanh":
+            sig = HuberNonlinearSignal(TanhDrift(0.4), b, 1.0, (1.0, 1.0, 0.4, 0.77 * 0.4))
+        else:
+            sig = _linear_huber(drift, b)
+        x = rng.standard_normal((1, 3))
+        assert sig.residuals(x).shape == (0, 3)
+        value = sig.log_f_sum(x)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert np.array_equal(sig.grad_log_transitions(x), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("M, factor", [
+        (np.diag([0.5, -0.25, 0.75]), np.array([0.5, -0.25, 0.75])),
+        (0.5 * np.eye(3), 0.5),
+        (np.array([[0.5, 0.1, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]), None),
+    ])
+    def test_linear_drift_multiplies_by_a_diagonal(self, rng, M, factor):
+        # a square diagonal M is one factor, a float when its entries are
+        # equal; stacks get the matmul's values, a single point M @ x
+        drift = LinearDrift(M)
+        if factor is None:
+            assert drift._f is None
+        else:
+            assert type(drift._f) is type(factor) and np.array_equal(drift._f, factor)
+        xs = rng.standard_normal((7, 3))
+        np.testing.assert_array_equal(drift(xs), xs @ M.T)
+        out = np.empty_like(xs)
+        pullback = drift.linearize(xs, out)
+        np.testing.assert_array_equal(out, xs @ M.T)
+        np.testing.assert_array_equal(pullback(xs), xs @ M)
+        np.testing.assert_array_equal(drift(xs[0]), M @ xs[0])
+
     def test_drift_spot_check_reads_jacobians_from_the_pullback(self, rng):
         M = rng.standard_normal((3, 3))
         cases = ((LinearDrift(M), float(np.linalg.norm(M, 2)), 0.0), (TanhDrift(0.4), 0.4, 0.77 * 0.4))
@@ -509,6 +548,14 @@ class TestBatchedKernels:
             HuberNonlinearSignal(LinearDrift(M), np.zeros(2), 1.0, (1.0, 1.0, 1.0, 0.0))
         assert str(err.value) == (f"drift matrix M has shape {M.shape}, expected 2x2 "
                                   "for the 2 entries of b")
+
+
+def _linear_huber(kind, b):
+    """A Huber-noise signal on a diagonal or a dense linear drift in the size of b."""
+    d = b.size
+    M = (np.diag(np.linspace(0.4, -0.3, d)) if kind == "diagonal"
+         else 0.4 * np.cos(np.arange(d * d).reshape(d, d)))
+    return HuberNonlinearSignal(LinearDrift(M), b, 1.0, (1.0, 1.0, float(np.linalg.norm(M, 2)), 0.0))
 
 
 def _huber_where(t, c):
@@ -755,6 +802,17 @@ class TestSpikeData:
         assert self._kernels(lik, xs, spikes) == own
 
     @pytest.mark.parametrize("cls", FAMILIES)
+    @pytest.mark.parametrize("rates, match", [
+        ([0.5, 0.5], "one entry per neuron"),
+        ([0.5, 0.5, 0.5, 0.5], "one entry per neuron"),
+        ([0.5, 1.5, 0.5], r"must lie in \[0, 1\]"),
+        ([0.5, 0.5, -0.25], r"must lie in \[0, 1\]"),
+    ])
+    def test_centering_rates_are_validated(self, cls, rates, match):
+        with pytest.raises(ShapeError, match=match):
+            cls(3, 2, rates_c=rates, spikes=random_spikes(3, 2, 4))
+
+    @pytest.mark.parametrize("cls", FAMILIES)
     def test_kernels_write_neither_spikes_nor_derived_data(self, rng, cls):
         spikes = random_spikes(4, 3, 20, seed=53)
         before = spikes.tobytes()
@@ -882,6 +940,19 @@ class TestObservationShape:
         with pytest.raises(ShapeError, match="NeuralPseudo"):
             ModelSpec(model.signal, model.likelihood, observations=np.ones((6, 3, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observations_must_be_finite(self, bad):
+        ys = np.zeros((6, 1))
+        ys[3, 0] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            ModelSpec(lg_signal(d=1), GaussianEmission(np.eye(1), np.eye(1)), observations=ys)
+
+    def test_spike_observations_must_lie_within_the_family_spikes(self):
+        model = neural_model(N=3, R=2, n=5)
+        ModelSpec(model.signal, model.likelihood, observations=model.observations[:4])
+        with pytest.raises(ShapeError, match="beyond the family's spike storage"):
+            ModelSpec(model.signal, model.likelihood, observations=np.zeros((7, 2, 3)))
+
     def test_stoch_vol_factors_must_cover_the_observations(self):
         # 5 factor rows for 11 observations: the eta bound and the solves would
         # otherwise fail later, at the first index past the factors
@@ -998,9 +1069,9 @@ class TestGaussianKernels:
             Sigma = np.diag(_diagonal(rng, kind, d, 0.5, 2.0))
         b = np.zeros(d) if b_zero else rng.standard_normal(d)
         sig = LinearGaussianSignal(A, b, Sigma, rng.standard_normal(d), _spd(rng, d))
-        assert sig._diag == (kind != "dense")
+        assert (sig.drift_map._f is not None) == (sig._si_d is not None) == (kind != "dense")
         if kind == "isotropic":
-            assert type(sig._a_d) is float and type(sig._si_d) is float
+            assert type(sig.drift_map._f) is float and type(sig._si_d) is float
         return sig, A, b, Sigma
 
     def emission(self, rng, kind, d):
@@ -1100,7 +1171,7 @@ class TestGaussianKernels:
             mats[changed][-1, -1] *= 1.25
         sig = LinearGaussianSignal(mats["A"], 0.0, mats["Sigma"], 0.0, np.eye(d))
         lik = GaussianEmission(mats["C"], mats["R"])
-        factors = {"A": sig._a_d, "Sigma": sig._si_d, "C": lik._c_d, "R": lik._ri_d}
+        factors = {"A": sig.drift_map._f, "Sigma": sig._si_d, "C": lik._c_d, "R": lik._ri_d}
         _check_factor(factors["A"], np.diag(sig.A))
         _check_factor(factors["Sigma"], np.diag(sig.Sigma_inv))
         _check_factor(factors["C"], np.diag(lik.C))
@@ -1110,7 +1181,7 @@ class TestGaussianKernels:
             assert type(factor) is (float if name != changed else np.ndarray), name
         assert type(lik._ric_d) is (np.ndarray if changed in ("C", "R") else float)
         # zeros of opposite sign are not the same factor
-        assert type(LinearGaussianSignal(np.diag([0.0, -0.0]), 0.0, np.eye(2), 0.0, np.eye(2))._a_d) is np.ndarray
+        assert type(LinearGaussianSignal(np.diag([0.0, -0.0]), 0.0, np.eye(2), 0.0, np.eye(2)).drift_map._f) is np.ndarray
 
     def test_isotropic_solve_matches_vector_factors(self, rng):
         """A fixed-step solve with the float factors equals, bit for bit,
@@ -1125,14 +1196,16 @@ class TestGaussianKernels:
 
         scalar, vector = model(), model()
         sig, lik = vector.signal, vector.likelihood
-        diagonals = {
-            sig: {"_a_d": sig.A[0, 0], "_si_d": sig.Sigma_inv[0, 0]},
-            lik: {"_c_d": lik.C[0, 0], "_ri_d": lik.R_inv[0, 0], "_ric_d": lik.R_inv[0, 0] * lik.C[0, 0]},
-        }
-        for family, values in diagonals.items():
+        diagonals = [
+            (sig.drift_map, {"_f": sig.A[0, 0]}),
+            (sig, {"_si_d": sig.Sigma_inv[0, 0]}),
+            (lik, {"_c_d": lik.C[0, 0], "_ri_d": lik.R_inv[0, 0], "_ric_d": lik.R_inv[0, 0] * lik.C[0, 0]}),
+        ]
+        for family, values in diagonals:
             for name, value in values.items():
                 assert type(getattr(family, name)) is float
-                setattr(family, name, np.full(d, value))
+                # the drift is a frozen dataclass
+                object.__setattr__(family, name, np.full(d, value))
         config = SolverConfig(step_mode="fixed", step_size=0.05, max_iters=5000, grad_tol=1e-9)
         a, b = solve_map(scalar, config), solve_map(vector, config)
         assert a.converged
@@ -1218,6 +1291,19 @@ class TestSimulate:
     def test_neural_exact_size_cap(self):
         with pytest.raises(ShapeError):
             NeuralExact(11, 2, spikes=np.zeros((3, 2, 11)))
+
+    def test_neural_exact_simulates_the_field_the_pseudo_family_simulates(self):
+        # neither family's likelihood is generative in its own right: both
+        # draw from the exactly normalized field, with the same stream
+        N, R, n, seed = 4, 5, 30, 15
+        rates = np.array([0.3, 0.5, 0.6, 0.4])
+        signal = lg_signal(d=N * (N - 1) // 2, a=0.6)
+        draws = [simulate(ModelSpec(signal, cls(N, R, rates_c=rates, spikes=np.zeros((1, R, N)))), n, seed)
+                 for cls in (NeuralExact, NeuralPseudo)]
+        (xs, spikes), (xs_p, spikes_p) = draws
+        assert spikes.shape == (n + 1, R, N) and np.all((spikes == 0.0) | (spikes == 1.0))
+        np.testing.assert_array_equal(xs.blocks, xs_p.blocks)
+        np.testing.assert_array_equal(spikes, spikes_p)
 
     def test_spike_simulation_matches_rates_at_zero_coupling(self):
         # zero coupling makes the field uniform over configurations -> rate 1/2

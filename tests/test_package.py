@@ -115,6 +115,16 @@ def test_every_exported_name_has_a_caller():
                   if name not in read) == []
 
 
+def test_transition_kernels_are_written_once():
+    # both signal families run the one chain kernel; a family supplies only
+    # its noise law, so a second definition of a kernel is a second copy
+    tree = ast.parse((Path(viterbipar.__file__).parent / "models" / "signals.py").read_text())
+    defined = [node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert {name: defined.count(name) for name in ("residuals", "log_f_sum", "grad_log_transitions")} == {
+        "residuals": 1, "log_f_sum": 1, "grad_log_transitions": 1}
+
+
 def test_library_has_every_name_the_benchmark_reads():
     # bench/ is run as committed against each version of the library, so a
     # name it reads must not go: module attributes through its import
