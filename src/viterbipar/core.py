@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathVector:
     """A candidate or estimated hidden trajectory.
 

@@ -104,7 +104,7 @@ def stationary_covariance(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
 # Drifts and the transition kernel both families share
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearDrift:
     """Drift A(x) = M x with constant Jacobian M.
 
@@ -398,7 +398,7 @@ def _sample_huber_noise(c: float, size: int, rng: np.random.Generator) -> np.nda
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class HuberNonlinearSignal(_Chain):
     """x_m = A(x_{m-1}) + b + w_m with Huber-tailed noise, mu proportional
     to exp(-psi0(x)) with the same Huber penalty.

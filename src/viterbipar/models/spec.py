@@ -56,7 +56,7 @@ def _chi_linear_gaussian(signal: LinearGaussianSignal, emission: GaussianEmissio
     return 6.0 * m * m
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelSpec:
     """Signal prior + likelihood family + observations.
 

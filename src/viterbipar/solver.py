@@ -3,8 +3,12 @@
 Fixed-step gradient descent is the canonical method (explicit Euler on
 the gradient flow of the objective); an Armijo backtracking variant is
 the default for user runs since a good fixed step is data-scale
-specific. Convergence is declared on the gradient's 2-norm, which
-bounds its norm under every discount gamma <= 1.
+specific. Once its sufficient-decrease test falls below floating-point
+resolution, the backtracking variant coasts on fixed steps that carry
+Nesterov momentum (Nesterov 1983) with gradient-based adaptive restart
+(O'Donoghue and Candes, Found. Comput. Math. 2015); the returned point
+meets the same stopping rule. Convergence is declared on the gradient's
+2-norm, which bounds its norm under every discount gamma <= 1.
 """
 
 from __future__ import annotations
@@ -76,8 +80,10 @@ class SolveReport:
     value calls, including the final point's value. In backtracking mode
     ``halvings`` counts the rejected trial steps and ``coasting_steps`` the
     steps taken without a sufficient-decrease test, so that
-    ``value_evals == 2 + iterations - coasting_steps + halvings``; both
-    are zero in fixed mode.
+    ``value_evals == 2 + iterations - coasting_steps + halvings``.
+    Coasting steps carry restarted momentum, and ``restarts`` counts those
+    whose momentum the gradient test reset. All three are zero in fixed
+    mode.
     """
 
     solution: PathVector
@@ -91,6 +97,7 @@ class SolveReport:
     stop_reason: str
     halvings: int
     coasting_steps: int
+    restarts: int
 
     def to_dict(self) -> dict:
         """Every field but the path."""
@@ -103,6 +110,12 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
 
     ``objective.grad`` returns a fresh array, so the fixed-step update
     may scale it in place and subtract it from ``x``, the loop's own copy.
+    A coasting step of backtracking mode likewise turns it into the step's
+    momentum in place: the loop holds one momentum array, and ``x`` is
+    the extrapolated point whose gradient the next pass evaluates. The
+    momentum restarts (no extrapolation) on entry to each coasting phase
+    and whenever it points uphill, ``<g, x_new - x_last> > 0``
+    (O'Donoghue and Candes' gradient restart).
     The stopping norm is one BLAS dot product of the gradient with
     itself, whose value also serves the backtracking tests.
     The loop tests trial values and gradients for non-finite entries
@@ -114,7 +127,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
 
     backtracking = config.step_mode == "backtracking"
     h = config.step_size
-    grad_evals = value_evals = halvings = coasting_steps = 0
+    grad_evals = value_evals = halvings = coasting_steps = restarts = 0
     fx = None
     if backtracking:
         fx = objective.value(x)
@@ -125,6 +138,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     iterations = 0
     grow = False  # grow the trial step only after a clean first-trial accept
     coasting = False
+    v = None  # momentum of the coasting steps
     accepted_any = False  # coasting may only trust a step the search accepted
     # at most max_iters steps; the last pass only measures the final gradient
     for it in range(config.max_iters + 1):
@@ -146,14 +160,30 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
                 # the sufficient-decrease test is below floating resolution
                 # and would only measure rounding noise; coast on fixed
                 # steps at half the last accepted step, which is strictly
-                # inside the stable range that step certified
+                # inside the stable range that step certified. The steps
+                # carry restarted Nesterov momentum: x_new = x - h g, then
+                # x = x_new + beta v with v = x_new - x_last and
+                # beta = (k - 1) / (k + 2), so that x_last = x - beta v
                 if not coasting:
                     h *= 0.5
                     coasting = True
+                    k, beta = 0, 0.0  # no momentum carries into a coasting phase
                 coasting_steps += 1
-                x = x - h * g
+                # restart when the new momentum beta v - h g points uphill
+                restart = beta > 0 and beta * float(np.vdot(g, v)) > h * g_sq
+                g *= -h
+                x += g
+                if beta:
+                    v *= beta
+                    g += v
+                v = g  # the gradient's own array now holds the momentum
+                restarts += restart
+                k = 1 if restart else k + 1
+                beta = (k - 1) / (k + 2)
+                if beta:
+                    x += beta * v
                 continue
-            coasting = False
+            coasting, v = False, None  # hold no momentum array across tested steps
             if grow:
                 h = min(h * 2.0, config.step_size)
             rejected = 0
@@ -195,6 +225,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
         stop_reason="tolerance" if gnorm <= tol else "max_iters",
         halvings=halvings,
         coasting_steps=coasting_steps,
+        restarts=restarts,
     )
 
 

@@ -2,8 +2,9 @@
 quadratic form, single-index beta and eta, reference local gradients and
 fields, reference spike-coupling kernels, the enumerated normalizer of
 the exact spiking family, a reference decay-convexity sampler, the
-csv-module writers and readers that the bulk CSV I/O must match, a dying
-segment solve, and a session-end check that no worker process outlives
+csv-module writers and readers that the bulk CSV I/O must match, the
+backtracking descent with momentum-free coasting steps, a dying segment
+solve, and a session-end check that no worker process outlives
 the suite."""
 
 import csv
@@ -413,6 +414,47 @@ def neural_model(N=3, R=2, n=6, seed=4, exact=False, spikes=None, signal=None):
     lik = cls(N, R, spikes=spikes)
     signal = signal or lg_signal(d=d, a=0.4, sigma_sq=1.0)
     return ModelSpec(signal, lik, observations=None)
+
+
+def reference_backtracking_descent(objective, config):
+    """The backtracking descent from the zero path with plain coasting
+    steps: Armijo-tested steps, then, once the sufficient-decrease test is
+    below floating-point resolution, fixed steps at half the last accepted
+    step with no momentum. Returns the path, the number of steps and the
+    number of coasting steps."""
+    eps = float(np.finfo(float).eps)
+    x = np.zeros((objective.n_blocks, objective.dim))
+    tol = config.resolved_tol(objective.n_blocks)
+    h, fx = config.step_size, objective.value(x)
+    grow = coasting = accepted_any = False
+    coasting_steps = 0
+    for it in range(config.max_iters + 1):
+        g = objective.grad(x)
+        g_sq = float(np.vdot(g, g))
+        if math.sqrt(g_sq) <= tol or it == config.max_iters:
+            break
+        if accepted_any and 1e-4 * h * g_sq <= 8.0 * eps * max(1.0, abs(fx)):
+            if not coasting:
+                h *= 0.5
+                coasting = True
+            coasting_steps += 1
+            x = x - h * g
+            continue
+        coasting = False
+        if grow:
+            h = min(h * 2.0, config.step_size)
+        rejected = 0
+        while True:
+            x_new = x - h * g
+            f_new = objective.value(x_new)
+            if math.isfinite(f_new) and f_new <= fx - 1e-4 * h * g_sq:
+                break
+            h *= 0.5
+            rejected += 1
+        grow = rejected == 0
+        accepted_any = True
+        x, fx = x_new, f_new
+    return x, it, coasting_steps
 
 
 def exit_at_once(objective, config):

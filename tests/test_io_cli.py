@@ -825,7 +825,7 @@ class TestCli:
 
     def test_report_keys(self, runner, tmp_path):
         solve_keys = {"command", "iterations", "converged", "stop_reason", "grad_evals",
-                      "value_evals", "halvings", "coasting_steps", "final_grad_norm",
+                      "value_evals", "halvings", "coasting_steps", "restarts", "final_grad_norm",
                       "objective_value", "wall_clock_seconds", "solution"}
         args = _two_segment_args(runner, tmp_path, "solve-par")
         r = runner.invoke(main, args)

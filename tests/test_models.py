@@ -93,6 +93,20 @@ def _fd_wrt_block(fn, xs, n, eps=1e-6):
     return g
 
 
+@pytest.mark.parametrize("build", [
+    lambda: LinearDrift(np.eye(2)),
+    lambda: huber_signal(),
+    lambda: PathVector(np.zeros((3, 2))),
+    lambda: gaussian_model_with_obs(np.zeros(4)),
+], ids=["LinearDrift", "HuberNonlinearSignal", "PathVector", "ModelSpec"])
+def test_array_holding_dataclasses_compare_by_identity(build):
+    # a generated __eq__ over an ndarray field raises on the truth value of
+    # the elementwise comparison; these compare and hash as objects
+    one, other = build(), build()
+    assert one == one and one != other
+    assert hash(one) == hash(one) and len({one, other}) == 2
+
+
 class TestLocalGradients:
     def test_boundary_gradient_hand_value(self):
         # A=0.5, b=0, Sigma=1, b0=0, Sigma0=1, C=R=1, y=(1,1), x=(0,0):

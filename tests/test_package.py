@@ -125,6 +125,27 @@ def test_transition_kernels_are_written_once():
         "residuals": 1, "log_f_sum": 1, "grad_log_transitions": 1}
 
 
+def test_one_descent_loop():
+    # a second loop that steps on gradients would be a second solver to keep
+    # in step with _descend's stopping rule, counts and divergence checks;
+    # estimate_grad_lipschitz's power iteration only probes gradient
+    # differences around one fixed point
+    looping = []
+    for path in sorted(Path(viterbipar.__file__).parent.rglob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loops = [node for node in ast.walk(func)
+                     if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp,
+                                          ast.DictComp, ast.GeneratorExp))]
+            calls = [call for loop in loops for call in ast.walk(loop)
+                     if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                     and call.func.attr == "grad"]
+            if calls:
+                looping.append(f"{path.name}:{func.name}")
+    assert looping == ["solver.py:_descend", "solver.py:estimate_grad_lipschitz"]
+
+
 def test_library_has_every_name_the_benchmark_reads():
     # bench/ is run as committed against each version of the library, so a
     # name it reads must not go: module attributes through its import

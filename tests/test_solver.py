@@ -1,6 +1,7 @@
 """Gradient solvers: convergence, contraction, determinism, divergence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,19 +11,21 @@ from viterbipar import (
     PathVector,
     SolverConfig,
     WindowedObjective,
+    build_segment_plan,
     certify_linear_gaussian,
     estimate_grad_lipschitz,
     eval_U,
     grad_U,
     rts_smoother,
     solve_map,
+    solve_parallel,
     solve_windowed,
 )
 from viterbipar.errors import DivergenceError
 from viterbipar.objective import FullObjective
 from viterbipar.core import gamma_weights
 
-from conftest import gamma_norm, gaussian_model_with_obs
+from conftest import gamma_norm, gaussian_model_with_obs, neural_model, reference_backtracking_descent
 
 
 class TestSolveMap:
@@ -230,7 +233,7 @@ class TestSolveStatus:
         h = 1.0 / estimate_grad_lipschitz(FullObjective(model))
         report = solve_map(model, SolverConfig(step_mode="fixed", step_size=h, grad_tol=1e-9))
         assert report.iterations > 0
-        assert (report.halvings, report.coasting_steps) == (0, 0)
+        assert (report.halvings, report.coasting_steps, report.restarts) == (0, 0, 0)
 
     @pytest.mark.parametrize("grad_tol, max_iters", [(1e-9, 3000), (0.0, 300)])
     def test_backtracking_value_count(self, rng, grad_tol, max_iters):
@@ -244,7 +247,8 @@ class TestSolveStatus:
         assert obj.value_evals == report.value_evals
         assert report.value_evals == 2 + report.iterations - report.coasting_steps + report.halvings
         d = report.to_dict()
-        assert (d["halvings"], d["coasting_steps"]) == (report.halvings, report.coasting_steps)
+        assert (d["halvings"], d["coasting_steps"], d["restarts"]) == (
+            report.halvings, report.coasting_steps, report.restarts)
 
 
 class TestSolveWindowed:
@@ -277,3 +281,74 @@ class TestSolveWindowed:
         H = assemble_gaussian_hessian(model)
         top = float(np.max(np.linalg.eigvalsh(H)))
         assert L == pytest.approx(top, rel=1e-3)
+
+
+def stiff_chain():
+    # a = 0.95 with small transition noise: most steps of a momentum-free
+    # backtracking solve coast, once its sufficient-decrease test is below
+    # resolution
+    ys = np.random.default_rng(0).standard_normal(201)
+    return gaussian_model_with_obs(ys, a=0.95, sigma_sq=1e-2)
+
+
+class TestCoastingMomentum:
+    @pytest.mark.parametrize("case", ["converged", "capped"])
+    def test_no_coasting_step_matches_the_reference_bytes(self, case):
+        # momentum only rides on coasting steps: a solve that never coasts
+        # takes the reference's Armijo steps, bit for bit
+        if case == "converged":
+            ys = np.random.default_rng(0).standard_normal((40, 2))
+            model, config = gaussian_model_with_obs(ys, a=0.5), SolverConfig(grad_tol=1e-3)
+        else:
+            model, config = stiff_chain(), SolverConfig(max_iters=1000)
+        report = solve_map(model, config)
+        x, iterations, coasting_steps = reference_backtracking_descent(FullObjective(model), config)
+        assert report.coasting_steps == coasting_steps == 0
+        assert report.iterations == iterations > 0
+        assert np.array_equal(report.solution.blocks, x)
+
+    def test_stiff_chain_matches_rts_in_half_the_iterations(self):
+        model = stiff_chain()
+        config = SolverConfig()
+        report = solve_map(model, config)
+        _, ref_iterations, ref_coasting = reference_backtracking_descent(FullObjective(model), config)
+        assert report.converged and report.coasting_steps > 0 and ref_coasting > 0
+        assert report.iterations <= ref_iterations // 2
+        exact = rts_smoother(model.signal, model.likelihood, model.observations)
+        assert np.max(np.abs(report.solution.blocks - exact.blocks)) <= 1e-6
+
+    def test_max_iters_inside_a_coasting_phase(self):
+        # the last three of 1,200 steps coast, so the cap stops the solve
+        # on an extrapolated point
+        model = stiff_chain()
+        counts = [solve_map(model, SolverConfig(max_iters=m)).coasting_steps for m in (1198, 1199)]
+        capped = solve_map(model, SolverConfig(max_iters=1200))
+        assert counts + [capped.coasting_steps] == [1, 2, 3]
+        assert capped.iterations == 1200 and not capped.converged
+        assert capped.stop_reason == "max_iters"
+        assert capped.to_dict()["converged"] is False
+
+    def test_value_count_with_restarts(self):
+        obj = CountingObjective(FullObjective(stiff_chain()))
+        report = solve_windowed(obj, SolverConfig())
+        assert report.converged and 0 < report.restarts < report.coasting_steps
+        assert obj.value_evals == report.value_evals
+        assert report.value_evals == 2 + report.iterations - report.coasting_steps + report.halvings
+        assert obj.grad_evals == report.grad_evals == report.iterations + 1
+
+    def test_neural_solve_parallel_same_bytes_at_one_and_two_workers(self):
+        model = neural_model(N=4, R=3, n=47, seed=0)
+        plan = build_segment_plan(47, 2, 6)
+        inline = solve_parallel(model, plan, SolverConfig(), workers=1)
+        pooled = solve_parallel(model, plan, SolverConfig(), workers=2)
+        assert all(seg.coasting_steps > 0 and seg.restarts > 0 for seg in inline.per_segment)
+        assert np.array_equal(inline.stitched.blocks, pooled.stitched.blocks)
+        assert [seg.to_dict() | {"wall_clock_seconds": 0} for seg in inline.per_segment] == [
+            seg.to_dict() | {"wall_clock_seconds": 0} for seg in pooled.per_segment]
+
+    def test_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in (stiff_chain(), neural_model(N=4, R=3, n=47, seed=1)):
+                report = solve_map(model, SolverConfig())
+                assert report.converged and report.coasting_steps > 0
