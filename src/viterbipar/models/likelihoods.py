@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConfigError, ShapeError
-from .signals import _LOG_2PI, _as_spd, _diag_factor, _is_diagonal
+from .signals import _LOG_2PI, LinearDrift, _as_spd, _finite
 
 __all__ = [
     "GaussianEmission",
@@ -39,14 +39,13 @@ __all__ = [
 class GaussianEmission:
     """y_m = C x_m + N(0, R) noise. The conjugate, oracle-checkable family.
 
-    When C is square and C and R are diagonal the kernels multiply by
-    their diagonals, and a diagonal whose entries are all equal (C = c I,
-    R = r^2 I) is held as one float: numpy loops over a (d,) operand d
-    elements at a time, while a scalar costs one pass over the path.
+    C and R must be finite. The kernels run on the ``LinearDrift`` maps of
+    C, R^-1 and R^-1 C, so each of them multiplies by its diagonal when it
+    is square and diagonal (see ``LinearDrift``).
     """
 
     def __init__(self, C, R):
-        self.C = np.atleast_2d(np.asarray(C, dtype=float))
+        self.C = np.atleast_2d(_finite("C", C))
         self.R = np.atleast_2d(np.asarray(R, dtype=float))
         if self.C.ndim != 2:
             raise ShapeError(f"C must be a matrix, got shape {self.C.shape}")
@@ -54,14 +53,10 @@ class GaussianEmission:
         if self.R.shape != (p, p):
             raise ShapeError(f"R must be {p}x{p} (one row per row of C), got {self.R.shape}")
         _, self._chol_R, self._logdet_R = _as_spd("R", self.R)
-        self.R_inv = np.linalg.inv(self.R)
-        self.RinvC = self.R_inv @ self.C          # used directly by gradients
+        self.R_inv = _finite("R^-1", np.linalg.inv(self.R))
+        self.RinvC = self.R_inv @ self.C
         self.CtRinvC = self.C.T @ self.RinvC
-        self._diag = self.C.shape[0] == self.C.shape[1] and _is_diagonal(self.C) and _is_diagonal(self.R)
-        if self._diag:
-            self._c_d = _diag_factor(np.diag(self.C))
-            self._ri_d = _diag_factor(np.diag(self.R_inv))
-            self._ric_d = _diag_factor(np.diag(self.R_inv) * np.diag(self.C))  # diagonal of R^-1 C
+        self._c_map, self._ri_map, self._ric_map = map(LinearDrift, (self.C, self.R_inv, self.RinvC))
 
     @property
     def obs_dim(self) -> int:
@@ -72,28 +67,17 @@ class GaussianEmission:
 
     def residuals(self, xs, ys):
         """y_m - C x_m as a fresh array the callers below reuse as scratch."""
-        if self._diag:
-            r = np.multiply(xs, self._c_d)
-        else:
-            r = np.matmul(xs, self.C.T)
+        r = self._c_map(xs)
         return np.subtract(ys, r, out=r)
 
     def log_terms(self, xs, ys):
-        r = self.residuals(xs, ys)
-        if self._diag:
-            np.multiply(r, r, out=r)
-            r *= self._ri_d
-            q = np.sum(r, axis=1)
-        else:
-            q = np.einsum("mp,mp->m", r @ self.R_inv, r)
+        q = self._ri_map.quadratic_form(self.residuals(xs, ys), per_row=True)
         return -0.5 * (q + self._logdet_R + self.obs_dim * _LOG_2PI)
 
     def grad(self, xs, ys):
+        """The residuals' pullback by R^-1 C, in their own array when C is square."""
         r = self.residuals(xs, ys)
-        if self._diag:
-            r *= self._ric_d
-            return r
-        return r @ self.RinvC
+        return self._ric_map.pullback(r, out=r if r.shape == xs.shape else None)
 
     def sample(self, xs, rng):
         noise = rng.standard_normal((xs.shape[0], self.obs_dim)) @ self._chol_R.T

@@ -35,9 +35,17 @@ _STATIONARY_TOL = 1e-14
 _SPOT_CHECK_POINTS, _SPOT_CHECK_TOL = 16, 1e-8
 
 
+def _finite(name: str, M) -> np.ndarray:
+    """M as a float array; a NaN or infinite entry is a ConfigError."""
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"{name} must be finite")
+    return M
+
+
 def _square(name: str, M) -> np.ndarray:
-    """M as a float matrix; one that is not square is a ShapeError."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    """M as a finite float matrix; one that is not square is a ShapeError."""
+    M = np.atleast_2d(_finite(name, M))
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ShapeError(f"{name} must be square, got {M.shape}")
     return M
@@ -106,34 +114,50 @@ def stationary_covariance(A: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LinearDrift:
-    """Drift A(x) = M x with constant Jacobian M.
+    """The linear map x -> M x, both a drift with constant Jacobian M and
+    the one linear map of the Gaussian kernels (A, Sigma^-1, C, R^-1 and
+    R^-1 C). M must be finite.
 
     A square diagonal M is held as one kernel factor (``_diag_factor``),
     which multiplies a stack of points; any other M is a matmul. The
-    choice is made once, here. A single point is always ``M @ x``.
+    choice is made once, here. A diagonal whose entries are all equal
+    (a I) is one float: numpy loops over a (d,) operand d elements at a
+    time, while a scalar costs one pass over the stack. A single point is
+    always ``M @ x``.
     """
 
     M: np.ndarray
 
     def __post_init__(self):
-        M = np.atleast_2d(np.asarray(self.M, dtype=float))
+        M = np.atleast_2d(_finite("M", self.M))
         object.__setattr__(self, "M", M)
         diagonal = M.ndim == 2 and 0 < M.shape[0] == M.shape[1] and _is_diagonal(M)
         object.__setattr__(self, "_f", _diag_factor(np.diag(M)) if diagonal else None)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M x of a point, or the rows x_m' M' of a stack, into ``out`` if given."""
         if x.ndim != 2:
             return self.M @ x
-        return x @ self.M.T if self._f is None else x * self._f
+        return np.matmul(x, self.M.T, out=out) if self._f is None else np.multiply(x, self._f, out=out)
+
+    def pullback(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The rows v_m' M of a stack, into ``out`` if given (``v`` itself too)."""
+        return np.matmul(v, self.M, out=out) if self._f is None else np.multiply(v, self._f, out=out)
+
+    def quadratic_form(self, r: np.ndarray, per_row: bool = False):
+        """r_m' M r_m of the rows of ``r``, one per row or summed over
+        them. ``r`` may be overwritten."""
+        if self._f is None:
+            return np.einsum("md,md->m" if per_row else "md,md->", r @ self.M, r)
+        np.multiply(r, r, out=r)
+        r *= self._f
+        return np.sum(r, axis=1 if per_row else None)
 
     def linearize(self, xs: np.ndarray, out: np.ndarray):
         """Write the drift of a stack of points into ``out`` and return the
         pullback v -> rows v_m' J(x_m)."""
-        if self._f is None:
-            np.matmul(xs, self.M.T, out=out)
-            return lambda v: v @ self.M
-        np.multiply(xs, self._f, out=out)
-        return lambda v: v * self._f
+        self(xs, out)
+        return self.pullback
 
 
 @dataclass(frozen=True)
@@ -228,20 +252,16 @@ class LinearGaussianSignal(_Chain):
     b0 : (d,) array
     Sigma0 : (d, d) SPD array, initial covariance
 
-    The transitions run on the shared chain kernel with ``drift_map =
-    LinearDrift(A)``, which multiplies by a diagonal A, and the noise
-    multiplies by the diagonal of Sigma^-1 when Sigma is diagonal. A
-    diagonal whose entries are all equal (A = a I, Sigma = s I) is held as
-    one float: numpy loops over a (d,) operand d elements at a time, while
-    a scalar costs one pass over the path.
+    Every parameter must be finite. The transitions run on the shared
+    chain kernel with ``drift_map = LinearDrift(A)``, and the noise law
+    with the ``LinearDrift`` of Sigma^-1, so each of A and Sigma^-1
+    multiplies by its diagonal when it is diagonal (see ``LinearDrift``).
     """
 
     def __init__(self, A, b, Sigma, b0, Sigma0):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
+        self.A = _square("A", A)
         d = self.A.shape[0]
-        if self.A.shape != (d, d):
-            raise ShapeError(f"A must be square, got {self.A.shape}")
-        b, b0 = (np.asarray(v, dtype=float).reshape(-1) for v in (b, b0))
+        b, b0 = _finite("b", b).reshape(-1), _finite("b0", b0).reshape(-1)
         if {b.size, b0.size} - {1, d}:  # a single entry broadcasts
             raise ShapeError(f"b and b0 must have 1 or {d} entries (the size of A), "
                              f"got {b.size} and {b0.size}")
@@ -254,12 +274,11 @@ class LinearGaussianSignal(_Chain):
                              f"got {Sigma.shape} and {Sigma0.shape}")
         self.Sigma, self._chol_S, self._logdet_S = _as_spd("Sigma", Sigma)
         self.Sigma0, self._chol_S0, self._logdet_S0 = _as_spd("Sigma0", Sigma0)
-        self.Sigma_inv = np.linalg.inv(self.Sigma)
-        self.Sigma0_inv = np.linalg.inv(self.Sigma0)
+        self.Sigma_inv = _finite("Sigma^-1", np.linalg.inv(self.Sigma))
+        self.Sigma0_inv = _finite("Sigma0^-1", np.linalg.inv(self.Sigma0))
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
         self.drift_map = LinearDrift(self.A)
-        # the noise's Sigma^-1 factor, None for a matmul
-        self._si_d = _diag_factor(np.diag(self.Sigma_inv)) if _is_diagonal(self.Sigma) else None
+        self._si_map = LinearDrift(self.Sigma_inv)
 
     @property
     def dim(self) -> int:
@@ -273,20 +292,12 @@ class LinearGaussianSignal(_Chain):
         return -0.5 * (q + self._logdet_S0 + self.dim * _LOG_2PI)
 
     def _log_noise(self, W: np.ndarray) -> float:
-        if self._si_d is None:
-            q = float(np.einsum("md,md->", W @ self.Sigma_inv, W))
-        else:
-            np.multiply(W, W, out=W)
-            W *= self._si_d
-            q = float(np.sum(W))
+        q = float(self._si_map.quadratic_form(W))
         return -0.5 * (q + W.shape[0] * (self._logdet_S + self.dim * _LOG_2PI))
 
     def _score(self, V: np.ndarray):
         """-w_m -> -Sigma^-1 w_m in place."""
-        if self._si_d is None:
-            V[...] = V @ self.Sigma_inv
-        else:
-            V *= self._si_d
+        self._si_map.pullback(V, out=V)
 
     def grad_log_mu(self, x0: np.ndarray) -> np.ndarray:
         return -self.Sigma0_inv @ (x0 - self.b0)

@@ -36,7 +36,7 @@ from viterbipar import (
 )
 from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber, huber_grad
 from viterbipar.models.likelihoods import _softmax
-from viterbipar.errors import ShapeError, UnsupportedBoundError
+from viterbipar.errors import ConfigError, ShapeError, UnsupportedBoundError
 
 from conftest import (
     ReferencePseudo,
@@ -539,6 +539,16 @@ class TestBatchedKernels:
         np.testing.assert_array_equal(out, xs @ M.T)
         np.testing.assert_array_equal(pullback(xs), xs @ M)
         np.testing.assert_array_equal(drift(xs[0]), M @ xs[0])
+        # the pullback and the quadratic form may work in their operand's array
+        want = xs @ M
+        np.testing.assert_array_equal(drift.pullback(xs.copy(), out=out), want)
+        v = xs.copy()
+        got = drift.pullback(v, out=v)
+        assert got is v
+        np.testing.assert_array_equal(got, want)
+        Q = np.einsum("md,md->m", xs @ M, xs)
+        np.testing.assert_allclose(drift.quadratic_form(xs.copy(), per_row=True), Q, rtol=1e-14)
+        np.testing.assert_allclose(drift.quadratic_form(xs.copy()), Q.sum(), rtol=1e-14)
 
     def test_drift_spot_check_reads_jacobians_from_the_pullback(self, rng):
         M = rng.standard_normal((3, 3))
@@ -1083,16 +1093,21 @@ class TestGaussianKernels:
             Sigma = np.diag(_diagonal(rng, kind, d, 0.5, 2.0))
         b = np.zeros(d) if b_zero else rng.standard_normal(d)
         sig = LinearGaussianSignal(A, b, Sigma, rng.standard_normal(d), _spd(rng, d))
-        assert (sig.drift_map._f is not None) == (sig._si_d is not None) == (kind != "dense")
+        assert (sig.drift_map._f is not None) == (sig._si_map._f is not None) == (kind != "dense")
         if kind == "isotropic":
-            assert type(sig.drift_map._f) is float and type(sig._si_d) is float
+            assert type(sig.drift_map._f) is float and type(sig._si_map._f) is float
         return sig, A, b, Sigma
 
     def emission(self, rng, kind, d):
-        """(C, R); kind "identity" is C = I with an isotropic R."""
+        """(C, R); kind "identity" is C = I with an isotropic R, and the
+        mixed kinds pair a diagonal C or R with a dense other one."""
         if kind in ("dense", "non-square"):
             p = 3 if kind == "non-square" else d
             return rng.standard_normal((p, d)), _spd(rng, p)
+        if kind == "diagonal-C-dense-R":
+            return np.diag(_diagonal(rng, "diagonal", d, 0.5, 2.0)), _spd(rng, d)
+        if kind == "dense-C-diagonal-R":
+            return rng.standard_normal((d, d)), np.diag(_diagonal(rng, "diagonal", d, 0.2, 3.0))
         if kind == "identity":
             return np.eye(d), np.diag(_diagonal(rng, "isotropic", d, 0.2, 3.0))
         return np.diag(_diagonal(rng, kind, d, 0.5, 2.0)), np.diag(_diagonal(rng, kind, d, 0.2, 3.0))
@@ -1121,13 +1136,18 @@ class TestGaussianKernels:
         self.check_transitions(rng, "isotropic", d, b_zero)
 
     def check_emission(self, rng, kind, d):
+        """Each of the maps of C, R^-1 and R^-1 C multiplies by its
+        diagonal exactly when that matrix is diagonal; only all three
+        diagonal is the exact path."""
         C, R = self.emission(rng, kind, d)
         p = C.shape[0]
-        exact = kind not in ("dense", "non-square")
+        exact = kind in ("diagonal", "identity", "isotropic")
         lik = GaussianEmission(C, R)
-        assert lik._diag == exact
+        maps = (lik._c_map, lik._ri_map, lik._ric_map)
+        diagonal = {"diagonal-C-dense-R": (True, False, False), "dense-C-diagonal-R": (False, True, False)}
+        assert tuple(m._f is not None for m in maps) == diagonal.get(kind, (exact,) * 3)
         if kind in ("identity", "isotropic"):
-            assert all(type(f) is float for f in (lik._c_d, lik._ri_d, lik._ric_d))
+            assert all(type(m._f) is float for m in maps)
         xs, ys = rng.standard_normal((self.n + 1, d)), rng.standard_normal((self.n + 1, p))
         before = (xs.copy(), ys.copy())
         terms, grad = _ref_emission(C, R, xs, ys, exact)
@@ -1135,7 +1155,8 @@ class TestGaussianKernels:
         _assert_matches(lik.log_terms(xs, ys), terms, exact)
         assert np.array_equal(xs, before[0]) and np.array_equal(ys, before[1])
 
-    @pytest.mark.parametrize("shape", ["diagonal", "dense", "non-square"])
+    @pytest.mark.parametrize("shape", ["diagonal", "dense", "non-square",
+                                       "diagonal-C-dense-R", "dense-C-diagonal-R"])
     def test_emission(self, rng, shape):
         self.check_emission(rng, shape, self.d)
 
@@ -1174,6 +1195,12 @@ class TestGaussianKernels:
     def test_isotropic_windowed_objective(self, rng, d, b_zero):
         self.check_windowed_objective(rng, "isotropic", d, b_zero)
 
+    @staticmethod
+    def maps(sig, lik):
+        """The five linear maps of the conjugate kernels, by matrix."""
+        return {"A": sig.drift_map, "Sigma^-1": sig._si_map, "C": lik._c_map, "R^-1": lik._ri_map,
+                "R^-1 C": lik._ric_map}
+
     @pytest.mark.parametrize("d, changed", [
         (1, None), (5, None), (5, "A"), (5, "Sigma"), (5, "C"), (5, "R"),
     ])
@@ -1185,22 +1212,20 @@ class TestGaussianKernels:
             mats[changed][-1, -1] *= 1.25
         sig = LinearGaussianSignal(mats["A"], 0.0, mats["Sigma"], 0.0, np.eye(d))
         lik = GaussianEmission(mats["C"], mats["R"])
-        factors = {"A": sig.drift_map._f, "Sigma": sig._si_d, "C": lik._c_d, "R": lik._ri_d}
-        _check_factor(factors["A"], np.diag(sig.A))
-        _check_factor(factors["Sigma"], np.diag(sig.Sigma_inv))
-        _check_factor(factors["C"], np.diag(lik.C))
-        _check_factor(factors["R"], np.diag(lik.R_inv))
-        _check_factor(lik._ric_d, np.diag(lik.R_inv) * np.diag(lik.C))
-        for name, factor in factors.items():
-            assert type(factor) is (float if name != changed else np.ndarray), name
-        assert type(lik._ric_d) is (np.ndarray if changed in ("C", "R") else float)
+        diagonals = {"A": np.diag(sig.A), "Sigma^-1": np.diag(sig.Sigma_inv), "C": np.diag(lik.C),
+                     "R^-1": np.diag(lik.R_inv), "R^-1 C": np.diag(lik.R_inv) * np.diag(lik.C)}
+        vectors = {None: set(), "A": {"A"}, "Sigma": {"Sigma^-1"}, "C": {"C", "R^-1 C"},
+                   "R": {"R^-1", "R^-1 C"}}[changed]
+        for name, m in self.maps(sig, lik).items():
+            _check_factor(m._f, diagonals[name])
+            assert type(m._f) is (np.ndarray if name in vectors else float), name
         # zeros of opposite sign are not the same factor
         assert type(LinearGaussianSignal(np.diag([0.0, -0.0]), 0.0, np.eye(2), 0.0, np.eye(2)).drift_map._f) is np.ndarray
 
     def test_isotropic_solve_matches_vector_factors(self, rng):
         """A fixed-step solve with the float factors equals, bit for bit,
-        the same solve with each factor reset to the (d,) vector of its
-        matrix diagonal."""
+        the same solve with each map's factor reset to the (d,) vector of
+        its matrix diagonal."""
         d, n = 4, 60
         ys = rng.standard_normal((n + 1, d))
 
@@ -1209,23 +1234,48 @@ class TestGaussianKernels:
             return ModelSpec(sig, GaussianEmission(np.eye(d), 0.3 * np.eye(d)), observations=ys)
 
         scalar, vector = model(), model()
-        sig, lik = vector.signal, vector.likelihood
-        diagonals = [
-            (sig.drift_map, {"_f": sig.A[0, 0]}),
-            (sig, {"_si_d": sig.Sigma_inv[0, 0]}),
-            (lik, {"_c_d": lik.C[0, 0], "_ri_d": lik.R_inv[0, 0], "_ric_d": lik.R_inv[0, 0] * lik.C[0, 0]}),
-        ]
-        for family, values in diagonals:
-            for name, value in values.items():
-                assert type(getattr(family, name)) is float
-                # the drift is a frozen dataclass
-                object.__setattr__(family, name, np.full(d, value))
+        for name, m in self.maps(vector.signal, vector.likelihood).items():
+            assert type(m._f) is float, name
+            # the map is a frozen dataclass
+            object.__setattr__(m, "_f", np.diag(m.M).copy())
         config = SolverConfig(step_mode="fixed", step_size=0.05, max_iters=5000, grad_tol=1e-9)
         a, b = solve_map(scalar, config), solve_map(vector, config)
         assert a.converged
         assert np.array_equal(a.solution.blocks, b.solution.blocks)
         fields = ("iterations", "grad_evals", "value_evals", "final_grad_norm", "objective_value")
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["M", "A", "b", "b0", "Sigma", "Sigma0", "C", "R"])
+    def test_non_finite_parameters(self, name, bad):
+        """A NaN or infinite parameter is a ConfigError naming it, raised
+        before any arithmetic warns."""
+        params = {"M": 0.5 * np.eye(2), "A": 0.5 * np.eye(2), "b": np.zeros(2), "b0": np.zeros(2),
+                  "Sigma": np.eye(2), "Sigma0": np.eye(2), "C": np.eye(2), "R": np.eye(2)}
+        params[name].flat[-1] = bad
+
+        def build():
+            if name == "M":
+                return LinearDrift(params["M"])
+            if name in ("C", "R"):
+                return GaussianEmission(params["C"], params["R"])
+            return LinearGaussianSignal(*(params[k] for k in ("A", "b", "Sigma", "b0", "Sigma0")))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+                build()
+
+    @pytest.mark.parametrize("name", ["Sigma", "Sigma0", "R"])
+    def test_overflowing_inverse(self, name):
+        """An SPD covariance whose inverse overflows is a ConfigError
+        naming that inverse, not a model with infinite precisions."""
+        tiny = {"Sigma": [[1.0]], "Sigma0": [[1.0]], "R": [[1.0]], name: [[1e-310]]}
+        with pytest.raises(ConfigError, match=rf"^{name}\^-1 must be finite$"):
+            if name == "R":
+                GaussianEmission([[1.0]], tiny["R"])
+            else:
+                LinearGaussianSignal([[0.5]], 0.0, tiny["Sigma"], 0.0, tiny["Sigma0"])
 
 
 class TestMarginalParams:

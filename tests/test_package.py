@@ -125,6 +125,29 @@ def test_transition_kernels_are_written_once():
         "residuals": 1, "log_f_sum": 1, "grad_log_transitions": 1}
 
 
+def test_one_diagonal_or_matmul_choice():
+    # LinearDrift alone picks between a diagonal factor and a matmul, for
+    # the drift and every Gaussian kernel; a second caller of its helpers,
+    # or a reader of its factor, would be a second place that makes that
+    # choice
+    helpers = {"_is_diagonal", "_diag_factor"}
+    found = []
+
+    def visit(node, path, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif owner != "LinearDrift" and (
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) in helpers
+                or isinstance(node, ast.Attribute) and node.attr == "_f"):
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(Path(viterbipar.__file__).parent.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert found == []
+
+
 def test_one_descent_loop():
     # a second loop that steps on gradients would be a second solver to keep
     # in step with _descend's stopping rule, counts and divergence checks;
