@@ -36,10 +36,10 @@ from .errors import CertificationError, ConfigError, ViterbiParError
 from .models.likelihoods import GaussianEmission
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
 from .models.spec import _NEURAL, ModelSpec, simulate
-from .objective import eval_U, grad_U
+from .objective import BOUNDARY_MODES, eval_U, grad_U
 from .oracles import finite_diff_grad, rts_smoother
 from .parallel import solve_parallel, sweep_delta
-from .solver import SolverConfig, solve_map
+from .solver import STEP_MODES, SolverConfig, solve_map
 
 
 def _echo_json(payload):
@@ -112,7 +112,7 @@ def solver_options(fn):
                               grad_tol=grad_tol)
         return fn(*args, config=config, **kwargs)
 
-    wrapper = click.option("--step-mode", type=click.Choice(["fixed", "backtracking"]), default=SolverConfig.step_mode, show_default=True)(wrapper)
+    wrapper = click.option("--step-mode", type=click.Choice(STEP_MODES), default=SolverConfig.step_mode, show_default=True)(wrapper)
     wrapper = click.option("--step-size", type=float, default=SolverConfig.step_size, show_default=True, help="fixed step, or initial trial step when backtracking")(wrapper)
     wrapper = click.option("--max-iters", type=int, default=SolverConfig.max_iters, show_default=True)(wrapper)
     wrapper = click.option("--grad-tol", type=float, default=SolverConfig.grad_tol, help="stop when the gradient's 2-norm falls below this")(wrapper)
@@ -183,7 +183,7 @@ def solve_cmd(model_path, obs_path, out_dir, config):
 @click.option("--l", "num_segments", required=True, type=int, help="number of segments")
 @click.option("--delta", required=True, type=int, help="overlap added on both sides of each segment")
 @workers_option
-@click.option("--boundary-mode", type=click.Choice(["marginal-prior", "flat-start", "full-prior"]), default=None,
+@click.option("--boundary-mode", type=click.Choice(BOUNDARY_MODES), default=None,
               help="start term of the windows that begin after index 0 (the first window always "
                    "carries the initial density); default marginal-prior when the signal has "
                    "closed-form marginals, else flat-start")

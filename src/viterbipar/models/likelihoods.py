@@ -95,6 +95,7 @@ class StudentTEmission:
     dof: float = 1.0
 
     def __post_init__(self):
+        _finite("dof", self.dof)
         if not self.dof > 0:
             raise ConfigError(f"dof must be positive, got {self.dof}")
 
@@ -128,8 +129,8 @@ class StochVolFactor:
     """
 
     def __init__(self, B, factors):
-        self.B = np.atleast_2d(np.asarray(B, dtype=float))
-        self.factors = np.atleast_2d(np.asarray(factors, dtype=float))
+        self.B = np.atleast_2d(_finite("B", B))
+        self.factors = np.atleast_2d(_finite("factors", factors))
         if self.B.ndim != 2 or self.factors.ndim != 2:
             raise ShapeError(f"B and factors must be matrices, got shapes {self.B.shape} and {self.factors.shape}")
         if self.factors.shape[1] != self.B.shape[1]:
@@ -248,7 +249,7 @@ class _NeuralBase:
         self.spikes = spikes
         if rates_c is None:
             rates_c = spikes.mean(axis=(0, 1))
-        self.rates_c = np.asarray(rates_c, dtype=float).reshape(-1)
+        self.rates_c = _finite("rates_c", rates_c).reshape(-1)
         if self.rates_c.shape[0] != self.N:
             raise ShapeError("rates_c must have one entry per neuron")
         if np.any(self.rates_c < 0.0) or np.any(self.rates_c > 1.0):

@@ -166,6 +166,9 @@ class TanhDrift:
 
     scale: float = 0.5
 
+    def __post_init__(self):
+        _finite("scale", self.scale)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         A = np.tanh(x)
         A *= self.scale
@@ -432,14 +435,14 @@ class HuberNonlinearSignal(_Chain):
     lipschitz_bounds: tuple[float, float, float, float]
 
     def __post_init__(self):
-        self.b = np.array(self.b, dtype=float)
+        self.b = np.array(_finite("b", self.b))
         if self.b.ndim != 1 or not self.b.size:
             raise ShapeError(f"b must be a nonempty vector, got shape {self.b.shape}")
         if isinstance(self.drift_map, LinearDrift) and self.drift_map.M.shape != (self.dim,) * 2:
             raise ShapeError(f"drift matrix M has shape {self.drift_map.M.shape}, expected "
                              f"{self.dim}x{self.dim} for the {self.dim} entries of b")
         self._b_nonzero = bool(np.any(self.b))  # a zero b drops out of every residual
-        c = float(self.huber_c)
+        c = float(_finite("huber_c", self.huber_c))
         if c <= 0:
             raise ConfigError(f"huber threshold must be positive, got {c}")
         self.huber_c = c

@@ -18,7 +18,7 @@ __all__ = [
     "FullObjective",
 ]
 
-BOUNDARY_MODES = ("full-prior", "marginal-prior", "flat-start")
+BOUNDARY_MODES = ("marginal-prior", "flat-start", "full-prior")
 
 
 def _as_blocks(x) -> np.ndarray:

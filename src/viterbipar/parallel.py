@@ -2,13 +2,15 @@
 concurrently, discard the overlaps, concatenate, and compare against the
 full solve.
 
-Each segment's job is its ``WindowedObjective``, built in the parent,
-and the solver configuration. The objective holds only its window's
-slice of the model and the window's start term, so a job's size depends
-on the window length, not on the horizon. The stitched result is
-deterministic and independent of the worker count: each segment is
-solved by the same sequential arithmetic whether it runs inline or in a
-worker process, and results are collected by segment index.
+``solve_parallel`` is the one segment-solve path; ``sweep_delta`` calls
+it once per overlap. Each segment's job is its ``WindowedObjective``,
+built in the parent, and the solver configuration. The objective holds
+only its window's slice of the model and the window's start term, so a
+job's size depends on the window length, not on the horizon. The
+stitched result is deterministic and independent of the worker count:
+each segment is solved by the same sequential arithmetic whether it runs
+inline or in a worker process, and results are collected by segment
+index.
 
 Pooled solves share one process-wide pool of worker processes. The first
 pooled call starts it, and later calls of the same pool size submit to
@@ -119,16 +121,30 @@ def _release_pool(pool=None) -> None:
             slot[2].shutdown(wait=True)
 
 
-def _segment_jobs(model: ModelSpec, plan: SegmentPlan, config: SolverConfig, mode: str) -> list:
-    """One (objective, configuration) job per enlarged range of the plan."""
-    return [(WindowedObjective(model, (lo, hi - 1), mode), config) for lo, hi in plan.enlarged]
+def solve_parallel(
+    model: ModelSpec,
+    plan: SegmentPlan,
+    config: SolverConfig,
+    workers: int = 1,
+    boundary_mode: str | None = None,
+) -> ParallelSolveReport:
+    """Solve every enlarged segment, keep each segment's own blocks, and
+    concatenate in order.
 
-
-def _solve_segments(plan: SegmentPlan, jobs: list, workers: int) -> tuple[PathVector, list[SolveReport], bool]:
-    """Solve the plan's jobs, on the process-wide pool or inline when one
-    worker would do, and stitch the segments from the reports collected by
-    segment index. Returns (stitched, reports, whether this call started
-    the pool)."""
+    Every window is built before any segment is solved, so a window that
+    cannot be built fails before the pool starts. The segments run on the
+    process-wide pool, or inline when one worker would do, and their
+    reports are collected by segment index; any that diverged are named
+    together in one DivergenceError. ``workers`` only controls scheduling;
+    the stitched output is bit-identical for any worker count.
+    """
+    if plan.horizon_n != model.horizon:
+        raise ValueError(
+            f"plan horizon {plan.horizon_n} does not match model horizon {model.horizon}"
+        )
+    mode = boundary_mode or default_boundary_mode(model)
+    t_start = time.perf_counter()
+    jobs = [(WindowedObjective(model, (lo, hi - 1), mode), config) for lo, hi in plan.enlarged]
     size = min(workers, len(jobs))
     pool, futures, started = None, [], False
     try:
@@ -159,37 +175,11 @@ def _solve_segments(plan: SegmentPlan, jobs: list, workers: int) -> tuple[PathVe
             segments=[k for k, _ in failures],
         )
 
-    stitched = np.empty((plan.horizon_n + 1, jobs[0][0].dim))
-    for k, (seg, enl) in enumerate(zip(plan.segments, plan.enlarged)):
-        lo, hi = seg
-        off = lo - enl[0]
-        stitched[lo:hi] = reports[k].solution.blocks[off : off + (hi - lo)]
-    return PathVector(stitched), reports, started
-
-
-def solve_parallel(
-    model: ModelSpec,
-    plan: SegmentPlan,
-    config: SolverConfig,
-    workers: int = 1,
-    boundary_mode: str | None = None,
-) -> ParallelSolveReport:
-    """Solve every enlarged segment, keep each segment's own blocks, and
-    concatenate in order.
-
-    ``workers`` only controls scheduling; the stitched output is
-    bit-identical for any worker count.
-    """
-    if plan.horizon_n != model.horizon:
-        raise ValueError(
-            f"plan horizon {plan.horizon_n} does not match model horizon {model.horizon}"
-        )
-    mode = boundary_mode or default_boundary_mode(model)
-    t_start = time.perf_counter()
-    jobs = _segment_jobs(model, plan, config, mode)
-    stitched, reports, started = _solve_segments(plan, jobs, workers)
+    stitched = np.empty((plan.horizon_n + 1, model.dim))
+    for report, (lo, hi), (a, _) in zip(reports, plan.segments, plan.enlarged):
+        stitched[lo:hi] = report.solution.blocks[lo - a : hi - a]
     return ParallelSolveReport(
-        stitched=stitched,
+        stitched=PathVector(stitched),
         per_segment=reports,
         plan=plan,
         boundary_mode=mode,
@@ -228,26 +218,23 @@ def sweep_delta(
     """Overlap sweep: one row per delta, errors against the full solve.
 
     The reference is the single-segment, zero-overlap solve under the
-    identical solver configuration; speedup is its wall clock over each
-    parallel wall clock. The process-wide pool serves every delta, so the
-    first row's wall clock includes the pool's start-up only if no earlier
-    call in this process started a pool of the same size. The segment
-    solves use :func:`default_boundary_mode`. Returns (rows, reference
-    report, boundary mode). Invalid deltas or plans raise before the
-    reference solve. A zero-path reference, as all-zero observations of a
-    zero-mean chain give, leaves every relative error undefined and raises
-    ConfigError before any segment solve.
+    identical solver configuration. Each row is one :func:`solve_parallel`
+    call under :func:`default_boundary_mode`, and its speedup is the
+    reference's wall clock over that call's. The process-wide pool serves
+    every delta, so the first row's wall clock includes the pool's
+    start-up only if no earlier call in this process started a pool of the
+    same size. Returns (rows, reference report, boundary mode).
+
+    Invalid deltas or plans raise before the reference solve; a window
+    that cannot be built raises after it, from its delta's
+    :func:`solve_parallel` call. A zero-path reference, as all-zero
+    observations of a zero-mean chain give, leaves every relative error
+    undefined and raises ConfigError before any segment solve.
     """
     if not deltas or sorted(deltas) != list(deltas) or any(d < 0 for d in deltas):
         raise ConfigError("deltas must be a nonempty ascending list of nonnegative overlaps")
     mode = default_boundary_mode(model)
-    # every window is built before the reference solve and the pool start
-    runs = []
-    for delta in deltas:
-        t_start = time.perf_counter()
-        plan = build_segment_plan(model.horizon, num_segments_l, delta)
-        runs.append((delta, plan, _segment_jobs(model, plan, config, mode),
-                     time.perf_counter() - t_start))
+    plans = [build_segment_plan(model.horizon, num_segments_l, delta) for delta in deltas]
     reference = solve_map(model, config)
     if not np.any(reference.solution.blocks):
         raise ConfigError(
@@ -255,16 +242,14 @@ def sweep_delta(
             "errors relative to it are undefined"
         )
     rows = []
-    for delta, plan, jobs, build_s in runs:
-        t_start = time.perf_counter()
-        stitched, _, _ = _solve_segments(plan, jobs, workers)
-        wall = build_s + time.perf_counter() - t_start
+    for delta, plan in zip(deltas, plans):
+        run = solve_parallel(model, plan, config, workers, mode)
         rows.append(
             SweepRow(
                 delta=int(delta),
-                rel_error=relative_error(stitched, reference.solution),
-                wall_clock_s=wall,
-                speedup=reference.wall_clock_seconds / max(wall, 1e-12),
+                rel_error=relative_error(run.stitched, reference.solution),
+                wall_clock_s=run.wall_clock_seconds,
+                speedup=reference.wall_clock_seconds / max(run.wall_clock_seconds, 1e-12),
             )
         )
     return rows, reference, mode

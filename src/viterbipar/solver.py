@@ -14,6 +14,7 @@ meets the same stopping rule. Convergence is declared on the gradient's
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -26,6 +27,7 @@ from .objective import FullObjective, WindowedObjective
 
 _EPS = float(np.finfo(float).eps)
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search
+STEP_MODES = ("fixed", "backtracking")
 
 __all__ = [
     "SolverConfig",
@@ -53,10 +55,13 @@ class SolverConfig:
     grad_tol: float | None = None
 
     def __post_init__(self):
-        if self.step_mode not in ("fixed", "backtracking"):
-            raise ConfigError(f"step_mode must be 'fixed' or 'backtracking', got {self.step_mode!r}")
+        if self.step_mode not in STEP_MODES:
+            raise ConfigError(f"step_mode must be {' or '.join(map(repr, STEP_MODES))}, "
+                              f"got {self.step_mode!r}")
         if not 0 < self.step_size < math.inf:
             raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ConfigError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be at least 1")
         if self.grad_tol is not None and not 0 <= self.grad_tol < math.inf:

@@ -18,7 +18,8 @@ from viterbipar import errors
 from viterbipar import io as vio
 from viterbipar.cli import main
 from viterbipar.parallel import SweepRow
-from viterbipar.solver import SolverConfig
+from viterbipar.objective import BOUNDARY_MODES
+from viterbipar.solver import STEP_MODES, SolverConfig
 
 from conftest import exit_at_once, random_spikes, reference_write_sweep_csv
 
@@ -926,6 +927,15 @@ class TestCli:
         lines = r.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("configuration error:") and named in lines[0]
         assert not (tmp_path / "sweep.csv").exists()
+
+    def test_mode_choices_are_the_library_lists(self):
+        # the CLI lists no mode names of its own
+        choices = {(command, param.name): tuple(param.type.choices)
+                   for command, cmd in main.commands.items() for param in cmd.params
+                   if param.name in ("step_mode", "boundary_mode")}
+        assert choices == {**{(command, "step_mode"): STEP_MODES
+                              for command in ("solve", "solve-par", "sweep")},
+                           ("solve-par", "boundary_mode"): BOUNDARY_MODES}
 
     def test_verify_needs_at_least_one_point(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")

@@ -1278,6 +1278,35 @@ class TestGaussianKernels:
                 LinearGaussianSignal([[0.5]], 0.0, tiny["Sigma"], 0.0, tiny["Sigma0"])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["B", "factors", "dof", "rates_c", "huber_c", "b", "scale"])
+def test_non_finite_parameters_of_the_other_families(name, bad):
+    """A NaN or infinite parameter of the stochastic-volatility, Student t,
+    spiking and Huber families is a ConfigError naming it, raised before
+    any arithmetic warns."""
+    params = {"B": np.ones((2, 1)), "factors": np.ones((5, 1)), "dof": 3.0,
+              "rates_c": np.full(3, 0.5), "huber_c": 1.0, "b": np.zeros(2), "scale": 0.1}
+    if np.ndim(params[name]):
+        params[name].flat[-1] = bad
+    else:
+        params[name] = bad
+
+    def build():
+        if name in ("B", "factors"):
+            return StochVolFactor(params["B"], params["factors"])
+        if name == "dof":
+            return StudentTEmission(dof=params["dof"])
+        if name == "rates_c":
+            return NeuralPseudo(3, 2, rates_c=params["rates_c"], spikes=random_spikes(3, 2, 4, seed=1))
+        return HuberNonlinearSignal(drift_map=TanhDrift(params["scale"]), b=params["b"],
+                                    huber_c=params["huber_c"], lipschitz_bounds=(1.0, 1.0, 0.1, 0.077))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=f"^{name} must be finite$"):
+            build()
+
+
 class TestMarginalParams:
     def test_squaring_matches_step_loop(self):
         rng = np.random.default_rng(21)

@@ -169,6 +169,21 @@ def test_one_descent_loop():
     assert looping == ["solver.py:_descend", "solver.py:estimate_grad_lipschitz"]
 
 
+def test_one_segment_solve_path():
+    # solve_parallel alone builds the window jobs and submits them to the
+    # pool; a second place that does either is a second copy of the
+    # plan-to-stitched-path steps, which sweep_delta reaches by calling it
+    tree = ast.parse((Path(viterbipar.__file__).parent / "parallel.py").read_text())
+
+    def calls(node):
+        return sorted(call.func.id for call in ast.walk(node) if isinstance(call, ast.Call)
+                      and getattr(call.func, "id", None) in ("WindowedObjective", "_submit"))
+
+    solve = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "solve_parallel")
+    assert calls(tree) == calls(solve) == ["WindowedObjective", "_submit"]
+
+
 def test_library_has_every_name_the_benchmark_reads():
     # bench/ is run as committed against each version of the library, so a
     # name it reads must not go: module attributes through its import

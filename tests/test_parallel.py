@@ -21,7 +21,7 @@ from viterbipar import (
 from viterbipar import parallel
 from viterbipar.errors import DivergenceError, UnsupportedModeError
 
-from conftest import exit_at_once, gaussian_model_with_obs, huber_signal, neural_model, student_model
+from conftest import exit_at_once, gaussian_model, gaussian_model_with_obs, huber_signal, neural_model, student_model
 
 
 def _model(n=47, a=0.7, seed=21):
@@ -189,6 +189,21 @@ class TestSweep:
         r1, _, _ = sweep_delta(model, 4, [0, 3], CONFIG, workers=1)
         r2, _, _ = sweep_delta(model, 4, [0, 3], CONFIG, workers=1)
         assert [r.rel_error for r in r1] == [r.rel_error for r in r2]
+
+    @pytest.mark.usefixtures("empty_pool_slot")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flat_start_rows_are_parallel_solves(self, workers):
+        # each row is solve_parallel's stitched path at its delta, on a
+        # signal without closed-form marginals
+        model = gaussian_model(n=23, d=2, seed=6, signal=huber_signal(d=2, scale=0.2))
+        rows, reference, mode = sweep_delta(model, 4, [0, 2, 5], CONFIG, workers=workers)
+        assert mode == "flat-start"
+        assert [r.delta for r in rows] == [0, 2, 5]
+        for row in rows:
+            run = solve_parallel(model, build_segment_plan(23, 4, row.delta), CONFIG, workers=workers)
+            assert run.boundary_mode == "flat-start"
+            assert row.rel_error == relative_error(run.stitched, reference.solution)
+        assert rows[-1].rel_error < rows[0].rel_error
 
     def test_unsorted_deltas_rejected(self):
         model = _model(n=23)

@@ -21,7 +21,7 @@ from viterbipar import (
     solve_parallel,
     solve_windowed,
 )
-from viterbipar.errors import DivergenceError
+from viterbipar.errors import ConfigError, DivergenceError
 from viterbipar.objective import FullObjective
 from viterbipar.core import gamma_weights
 
@@ -178,6 +178,19 @@ def test_config_rejects_non_finite_step_and_tolerance(field, value):
     # NaN tolerance is never met
     with pytest.raises(ValueError, match=f"{field} must be .*finite"):
         SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, False, "3"])
+def test_config_rejects_a_non_integer_max_iters(value):
+    # range() takes no float, and a bool would run True == 1 iteration
+    with pytest.raises(ConfigError, match=r"^max_iters must be an integer, got "):
+        SolverConfig(max_iters=value)
+
+
+def test_config_takes_a_numpy_integer_max_iters():
+    model = gaussian_model_with_obs(np.ones(5))
+    report = solve_map(model, SolverConfig(max_iters=np.int64(3), grad_tol=0.0))
+    assert report.iterations == 3
 
 
 class TestEvaluationCounts:
