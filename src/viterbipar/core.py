@@ -7,6 +7,7 @@ path stands for the infinite sequence obtained by zero padding.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +91,15 @@ class SegmentPlan:
 def build_segment_plan(horizon_n: int, num_segments_l: int, overlap_delta: int) -> SegmentPlan:
     """Partition {0..n} into l equal blocks and attach delta-enlargements.
 
+    The three arguments are integers (numpy integers too, bools not).
     Requires (n+1) divisible by l; the block length is Delta = (n+1)/l and
     segment k covers {(k-1)Delta, ..., k Delta - 1}.
     """
-    n = int(horizon_n)
-    l = int(num_segments_l)
-    delta = int(overlap_delta)
+    for name, value in (("horizon_n", horizon_n), ("num_segments_l", num_segments_l),
+                        ("overlap_delta", overlap_delta)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise PlanError(f"{name} must be an integer, got {value!r}")
+    n, l, delta = int(horizon_n), int(num_segments_l), int(overlap_delta)
     if n < 0 or l < 1:
         raise PlanError(f"need horizon >= 0 and at least one segment, got n={n}, l={l}")
     if delta < 0:

@@ -8,6 +8,7 @@ with the bounds in ``viterbipar.certificates``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,7 +67,7 @@ class ModelSpec:
     ``chi`` is the quadratic-growth constant enabling the chi-based
     bounds; it is filled in automatically for the conjugate
     linear-Gaussian / Gaussian-emission model and may be supplied by the
-    user otherwise.
+    user otherwise, as a finite nonnegative number.
     """
 
     signal: object
@@ -75,6 +76,8 @@ class ModelSpec:
     chi: float | None = None
 
     def __post_init__(self):
+        if self.chi is not None and not 0 <= self.chi < math.inf:
+            raise ConfigError(f"chi must be finite and nonnegative, got {self.chi}")
         d = self.signal.dim
         want = self.likelihood.state_dim()
         if want is not None and want != d:

@@ -27,6 +27,9 @@ from .objective import FullObjective, WindowedObjective
 
 _EPS = float(np.finfo(float).eps)
 _ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search
+# elements per BLAS dot product: OpenBLAS runs ddot on one thread up to
+# 10,000 elements, so no chunk wakes its thread pool
+_DOT_CHUNK = 8192
 STEP_MODES = ("fixed", "backtracking")
 
 __all__ = [
@@ -58,6 +61,8 @@ class SolverConfig:
         if self.step_mode not in STEP_MODES:
             raise ConfigError(f"step_mode must be {' or '.join(map(repr, STEP_MODES))}, "
                               f"got {self.step_mode!r}")
+        if isinstance(self.step_size, bool) or not isinstance(self.step_size, numbers.Real):
+            raise ConfigError(f"step_size must be a real number, got {self.step_size!r}")
         if not 0 < self.step_size < math.inf:
             raise ConfigError(f"step_size must be positive and finite, got {self.step_size}")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
@@ -109,6 +114,19 @@ class SolveReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "solution"}
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """<u, v> of two same-shaped arrays: ``np.vdot`` itself up to
+    ``_DOT_CHUNK`` elements, else the in-order sum of ``np.vdot`` over
+    chunks of that many. Each call then runs on the calling thread under
+    a multi-threaded OpenBLAS, whose thread pool, woken on every
+    iteration by a long gradient's norm, measurably slowed the loop."""
+    if u.size <= _DOT_CHUNK:
+        return float(np.vdot(u, v))
+    u, v = u.reshape(-1), v.reshape(-1)
+    return float(sum(np.vdot(u[i : i + _DOT_CHUNK], v[i : i + _DOT_CHUNK])
+                     for i in range(0, u.size, _DOT_CHUNK)))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     """Shared descent loop for full and windowed objectives.
@@ -121,8 +139,9 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     momentum restarts (no extrapolation) on entry to each coasting phase
     and whenever it points uphill, ``<g, x_new - x_last> > 0``
     (O'Donoghue and Candes' gradient restart).
-    The stopping norm is one BLAS dot product of the gradient with
-    itself, whose value also serves the backtracking tests.
+    The stopping norm is the gradient's dot product with itself, taken by
+    ``_dot`` in single-threaded BLAS chunks; its value also serves the
+    backtracking tests, and ``_dot`` takes the restart test's <g, v> too.
     The loop tests trial values and gradients for non-finite entries
     itself, so numpy's overflow and invalid-value warnings are silenced.
     """
@@ -149,7 +168,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     for it in range(config.max_iters + 1):
         g = objective.grad(x)
         grad_evals += 1
-        g_sq = float(np.vdot(g, g))
+        g_sq = _dot(g, g)
         gnorm = math.sqrt(g_sq)
         # a finite gradient can only have a non-finite norm by overflow
         if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
@@ -175,7 +194,7 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
                     k, beta = 0, 0.0  # no momentum carries into a coasting phase
                 coasting_steps += 1
                 # restart when the new momentum beta v - h g points uphill
-                restart = beta > 0 and beta * float(np.vdot(g, v)) > h * g_sq
+                restart = beta > 0 and beta * _dot(g, v) > h * g_sq
                 g *= -h
                 x += g
                 if beta:

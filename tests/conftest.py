@@ -143,6 +143,44 @@ def grad_log_g(model, xs):
     return model.likelihood.grad(xs, model.observations[: xs.shape[0]])
 
 
+def stencil_grad_reference(model, window, mode, xs, g0, diagonal):
+    """The gradient H x + g0 of a window of a linear-Gaussian signal with
+    Gaussian emissions, block by block in the library stencil's order of
+    operations: the block's diagonal term, minus K x_{m-1}, minus
+    K' x_{m+1}, plus g0_m, with K = Sigma^-1 A. ``g0`` is the gradient at
+    the zero path. The end blocks, which carry the start term and lack
+    the last transition, are matrix-vector products; the interior block
+    D and K multiply by their diagonals when ``diagonal``, as the
+    library's maps of diagonal matrices do, and are matrix-vector
+    products otherwise."""
+    sig, lik = model.signal, model.likelihood
+    A, Si = sig.A, np.linalg.inv(sig.Sigma)
+    AtSiA, CtRC = A.T @ Si @ A, lik.C.T @ (np.linalg.inv(lik.R) @ lik.C)
+    D, K = AtSiA + Si + CtRC, Si @ A
+    a, b = window
+    if a == 0 or mode == "full-prior":
+        P0 = np.linalg.inv(sig.Sigma0)
+    elif mode == "marginal-prior":
+        P0 = np.linalg.inv(sig.marginal_params(a)[1])
+    else:
+        P0 = 0.0
+    N = b - a + 1
+    first, last = (CtRC + P0, None) if N == 1 else (D - Si + P0, D - AtSiA)
+
+    def mul(M, x):
+        return np.diag(M) * x if diagonal else M @ x
+
+    out = np.empty((N, model.dim))
+    for m in range(N):
+        g = first @ xs[0] if m == 0 else last @ xs[m] if m == N - 1 else mul(D, xs[m])
+        if m > 0:
+            g = g - mul(K, xs[m - 1])
+        if m < N - 1:
+            g = g - mul(K.T, xs[m + 1])
+        out[m] = g + g0[m]
+    return out
+
+
 def flat_upper(M):
     """Strict upper triangles of the trailing (N, N) matrices, flattened."""
     i, j = np.triu_indices(M.shape[-1], k=1)

@@ -124,6 +124,21 @@ class TestSegmentPlan:
         with pytest.raises(PlanError):
             build_segment_plan(11, 3, 12)
 
+    @pytest.mark.parametrize("name, args", [
+        ("overlap_delta", (23, 4, 2.5)), ("overlap_delta", (23, 4, 2.0)), ("overlap_delta", (23, 4, True)),
+        ("num_segments_l", (23, 4.0, 2)), ("num_segments_l", (23, True, 2)),
+        ("horizon_n", (23.0, 4, 2)), ("horizon_n", (False, 1, 0)), ("overlap_delta", (23, 4, "2")),
+    ])
+    def test_non_integer_arguments_rejected(self, name, args):
+        # int() would truncate an overlap of 2.5 to 2, and a bool is taken as 0 or 1
+        with pytest.raises(PlanError, match=f"^{name} must be an integer, got "):
+            build_segment_plan(*args)
+
+    def test_numpy_integers_accepted(self):
+        plan = build_segment_plan(np.int64(23), np.int32(4), np.uint8(2))
+        assert plan == build_segment_plan(23, 4, 2)
+        assert type(plan.overlap_delta) is int
+
     def test_partition_properties_exhaustive(self):
         # disjoint cover of {0..n} and |A_k(d) \ A_k| <= 2 delta,
         # for every n <= 64, every l dividing n+1, every delta <= n

@@ -543,6 +543,13 @@ class TestCli:
             assert len(lines) == 1 and lines[0].startswith("configuration error:")
             assert f"{field!r} is not finite" in lines[0]
 
+    def test_negative_chi_exits_2(self, runner, tmp_path):
+        write_lg_config(tmp_path / "m.json", chi=-1.0)
+        r = runner.invoke(main, ["certify", "--model", str(tmp_path / "m.json")])
+        assert r.exit_code == 2, r.output
+        assert r.stderr.strip().splitlines() == [
+            "configuration error: chi must be finite and nonnegative, got -1.0"]
+
     def test_non_finite_factor_csv_exits_2(self, runner, tmp_path):
         (tmp_path / "z.csv").write_text("t,z0\n0,nan\n1,0.5\n2,-0.5\n")
         cfg = json.loads(write_lg_config(tmp_path / "m.json", d=2).read_text())

@@ -1,6 +1,7 @@
 """Model families: local gradients, bookkeeping quantities, simulation."""
 
 import copy
+import itertools
 import math
 import pickle
 import warnings
@@ -36,7 +37,7 @@ from viterbipar import (
 )
 from viterbipar.models import LinearDrift, TanhDrift, coupling_matrix, huber, huber_grad
 from viterbipar.models.likelihoods import _softmax
-from viterbipar.errors import ConfigError, ShapeError, UnsupportedBoundError
+from viterbipar.errors import ConfigError, DivergenceError, ShapeError, UnsupportedBoundError
 
 from conftest import (
     ReferencePseudo,
@@ -57,6 +58,7 @@ from conftest import (
     neural_pseudo_field,
     pseudo_fields,
     random_spikes,
+    stencil_grad_reference,
     stochvol_model,
     student_model,
     weighted_norm_at,
@@ -873,6 +875,18 @@ class TestSpikeData:
         assert self._kernels(twin, xs, spikes) == want
 
 
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_chi_must_be_finite_and_nonnegative(rng, chi):
+    """A NaN, infinite or negative chi is a ConfigError naming it, before
+    any bound can return nan from it; zero is a valid chi."""
+    model = gaussian_model_with_obs(rng.standard_normal(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=r"^chi must be finite and nonnegative, got "):
+            ModelSpec(model.signal, model.likelihood, observations=model.observations, chi=chi)
+        assert ModelSpec(model.signal, model.likelihood, observations=model.observations, chi=0.0).chi == 0.0
+
+
 class TestModelSpecPrefix:
     def test_prefix_truncates_observations(self, rng):
         model = gaussian_model_with_obs(rng.standard_normal(12), a=0.5)
@@ -1165,8 +1179,11 @@ class TestGaussianKernels:
         self.check_emission(rng, kind, d)
 
     def check_windowed_objective(self, rng, kind, d, b_zero):
-        """minus (transitions + start term + emission) on the full-prior
-        window 0..n and on a flat-start window a..b."""
+        """The stencil gradient of the full-prior window 0..n and of a
+        flat-start window a..b against the per-block reference in the
+        stencil's order, whose offset is minus (transitions + start term +
+        emission) at the zero path; and against minus (transitions + start
+        term + emission) at the path itself within 1e-14."""
         sig, A, b, Sigma = self.signal(rng, kind, d, b_zero)
         n, exact = self.n, kind != "dense"
         C, R = self.emission(rng, "non-square" if kind == "dense" else kind, d)
@@ -1174,16 +1191,20 @@ class TestGaussianKernels:
         model = ModelSpec(sig, GaussianEmission(C, R), observations=ys)
         xs = rng.standard_normal((n + 1, d))
 
-        G = _ref_transitions(A, b, Sigma, xs, exact)[1]
-        G[0] += -np.linalg.inv(sig.Sigma0) @ (xs[0] - sig.b0)
-        G += _ref_emission(C, R, xs, ys, exact)[1]
-        _assert_matches(WindowedObjective(model, (0, n), "full-prior").grad(xs), -G, exact)
+        def assembly(x, window, start):
+            lo, hi = window
+            G = _ref_transitions(A, b, Sigma, x, exact)[1]
+            if start:
+                G[0] += -np.linalg.inv(sig.Sigma0) @ (x[0] - sig.b0)
+            G += _ref_emission(C, R, x, ys[lo : hi + 1], exact)[1]
+            return -G
 
-        lo, hi = 7, 30
-        G = _ref_transitions(A, b, Sigma, xs[lo : hi + 1], exact)[1]
-        G += _ref_emission(C, R, xs[lo : hi + 1], ys[lo : hi + 1], exact)[1]
-        got = WindowedObjective(model, (lo, hi), "flat-start").grad(xs[lo : hi + 1])
-        _assert_matches(got, -G, exact)
+        for (lo, hi), mode in (((0, n), "full-prior"), ((7, 30), "flat-start")):
+            x = xs[lo : hi + 1]
+            got = WindowedObjective(model, (lo, hi), mode).grad(x)
+            g0 = assembly(np.zeros_like(x), (lo, hi), mode == "full-prior")
+            _assert_matches(got, stencil_grad_reference(model, (lo, hi), mode, x, g0, exact), exact)
+            _assert_matches(got, assembly(x, (lo, hi), mode == "full-prior"), False)
 
     @pytest.mark.parametrize("diag", [True, False])
     @pytest.mark.parametrize("b_zero", [True, False])
@@ -1194,6 +1215,58 @@ class TestGaussianKernels:
     @pytest.mark.parametrize("b_zero", [True, False])
     def test_isotropic_windowed_objective(self, rng, d, b_zero):
         self.check_windowed_objective(rng, "isotropic", d, b_zero)
+
+    @pytest.mark.parametrize("emission", ["diagonal", "dense", "non-square", "diagonal-C-dense-R",
+                                          "dense-C-diagonal-R", "identity", "isotropic"])
+    @pytest.mark.parametrize("kind", ["diagonal", "dense", "isotropic"])
+    def test_stencil_matches_family_assembly(self, rng, kind, emission):
+        """The stencil gradient of every window shape, start mode and
+        Gaussian kind, with b and b0 nonzero, within 1e-14 of the family
+        assembly at the same path: windows at a = 0 and a > 0, of one,
+        two and many blocks, and the full range. It is a fresh array,
+        and the path is left untouched."""
+        d, n = self.d, self.n
+        sig = self.signal(rng, kind, d, b_zero=False)[0]
+        assert np.all(sig.b != 0) and np.all(sig.b0 != 0)
+        C, R = self.emission(rng, emission, d)
+        model = ModelSpec(sig, GaussianEmission(C, R), observations=rng.standard_normal((n + 1, C.shape[0])))
+        windows = [(0, n), (0, 0), (0, 1), (0, 9), (7, 7), (7, 8), (7, 30), (n - 1, n), (n, n)]
+        for (a, b), mode in itertools.product(windows, ("marginal-prior", "flat-start", "full-prior")):
+            obj = WindowedObjective(model, (a, b), mode)
+            xs = rng.standard_normal((b - a + 1, d))
+            kept = xs.copy()
+            got = obj.grad(xs)
+            assert obj._stencil is not None
+            _assert_matches(got, obj._assembled_grad(xs), False)
+            assert np.array_equal(xs, kept)
+            assert not np.shares_memory(got, xs) and not np.shares_memory(got, obj._stencil.g0)
+            again = obj.grad(xs)
+            assert not np.shares_memory(got, again) and np.array_equal(got, again)
+
+    def test_value_calls_build_no_stencil(self, rng):
+        """A window builds its stencil on the first gradient call, not
+        before, so that value-only callers and pickled jobs carry none."""
+        sig = self.signal(rng, "diagonal", self.d, b_zero=False)[0]
+        model = ModelSpec(sig, GaussianEmission(*self.emission(rng, "dense", self.d)),
+                          observations=rng.standard_normal((self.n + 1, self.d)))
+        obj = WindowedObjective(model, (3, 20), "marginal-prior")
+        obj.value(rng.standard_normal((18, self.d)))
+        assert obj._stencil is None
+        assert b"_Stencil" not in pickle.dumps(obj)
+        obj.grad(rng.standard_normal((18, self.d)))
+        assert obj._stencil is not None
+
+    def test_overflowing_stencil_diverges(self):
+        """A transition covariance so small that the Hessian's blocks
+        overflow stops the solve with a DivergenceError, as the assembled
+        gradient's overflow does. (The chi given skips the automatic one,
+        whose sums of the same blocks overflow too.)"""
+        sig = LinearGaussianSignal(0.9 * np.eye(2), 0.0, 1e-308 * np.eye(2), 0.0, np.eye(2))
+        model = ModelSpec(sig, GaussianEmission(np.eye(2), np.eye(2)), observations=np.ones((6, 2)),
+                          chi=1.0)
+        for config in (SolverConfig(), SolverConfig(step_mode="fixed", step_size=1e-300)):
+            with pytest.raises(DivergenceError):
+                solve_map(model, config)
 
     @staticmethod
     def maps(sig, lik):

@@ -169,6 +169,20 @@ def test_one_descent_loop():
     assert looping == ["solver.py:_descend", "solver.py:estimate_grad_lipschitz"]
 
 
+def test_one_dot_product_in_the_solver():
+    # _dot keeps each BLAS dot product below OpenBLAS's threading cutoff;
+    # an np.vdot call elsewhere in solver.py would run a long gradient's
+    # norm on the BLAS thread pool again
+    tree = ast.parse((Path(viterbipar.__file__).parent / "solver.py").read_text())
+
+    def vdots(node):
+        return [call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr == "vdot"]
+
+    dot = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_dot")
+    assert vdots(dot) and vdots(tree) == vdots(dot)
+
+
 def test_one_segment_solve_path():
     # solve_parallel alone builds the window jobs and submits them to the
     # pool; a second place that does either is a second copy of the

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 from viterbipar import (
+    GaussianEmission,
+    LinearGaussianSignal,
+    ModelSpec,
     PathVector,
     SolverConfig,
     build_segment_plan,
@@ -96,6 +99,25 @@ class TestSolveParallel:
         base = solve_parallel(model, plan, CONFIG, workers=1)
         multi = solve_parallel(model, plan, CONFIG, workers=workers)
         assert np.array_equal(base.stitched.blocks, multi.stitched.blocks)
+
+    @pytest.mark.parametrize("mode", ["marginal-prior", "flat-start", "full-prior"])
+    def test_conjugate_windows_pooled_and_inline_byte_equal(self, mode):
+        # each window builds its gradient stencil in the process that
+        # solves it, from a job pickled before any gradient call
+        rng = np.random.default_rng(8)
+        d, n = 3, 35
+        B = rng.standard_normal((d, d))
+        sig = LinearGaussianSignal(0.4 * rng.standard_normal((d, d)), rng.standard_normal(d),
+                                   B @ B.T / d + np.eye(d), rng.standard_normal(d), np.eye(d))
+        lik = GaussianEmission(rng.standard_normal((2, d)), np.diag([0.5, 2.0]))
+        model = ModelSpec(sig, lik, observations=rng.standard_normal((n + 1, 2)))
+        plan = build_segment_plan(n, 4, 3)
+        inline = solve_parallel(model, plan, CONFIG, workers=1, boundary_mode=mode)
+        pooled = solve_parallel(model, plan, CONFIG, workers=2, boundary_mode=mode)
+        assert all(r.converged for r in inline.per_segment)
+        assert np.array_equal(inline.stitched.blocks, pooled.stitched.blocks)
+        assert ([r.to_dict() | {"wall_clock_seconds": 0} for r in inline.per_segment]
+                == [r.to_dict() | {"wall_clock_seconds": 0} for r in pooled.per_segment])
 
     def test_first_segment_subproblem_is_prefix_map(self):
         # with the marginal start (which equals the initial density at

@@ -23,6 +23,7 @@ from viterbipar import (
 )
 from viterbipar.errors import ConfigError, DivergenceError
 from viterbipar.objective import FullObjective
+from viterbipar.solver import _DOT_CHUNK, _dot
 from viterbipar.core import gamma_weights
 
 from conftest import gamma_norm, gaussian_model_with_obs, neural_model, reference_backtracking_descent
@@ -185,6 +186,18 @@ def test_config_rejects_a_non_integer_max_iters(value):
     # range() takes no float, and a bool would run True == 1 iteration
     with pytest.raises(ConfigError, match=r"^max_iters must be an integer, got "):
         SolverConfig(max_iters=value)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", None])
+def test_config_rejects_a_step_size_that_is_not_a_number(value):
+    # a bool would run with a step of True == 1
+    with pytest.raises(ConfigError, match=r"^step_size must be a real number, got "):
+        SolverConfig(step_size=value)
+
+
+def test_config_takes_numpy_step_sizes():
+    assert SolverConfig(step_size=np.float32(0.5)).step_size == 0.5
+    assert SolverConfig(step_size=np.int64(2)).step_size == 2
 
 
 def test_config_takes_a_numpy_integer_max_iters():
@@ -365,3 +378,24 @@ class TestCoastingMomentum:
             for model in (stiff_chain(), neural_model(N=4, R=3, n=47, seed=1)):
                 report = solve_map(model, SolverConfig())
                 assert report.converged and report.coasting_steps > 0
+
+
+class TestDot:
+    """The descent loop's dot product: np.vdot itself up to _DOT_CHUNK
+    elements, so that every window of the benchmark models keeps its
+    bits, and chunked above it, where it stays within rounding of the
+    exact sum."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (700, 10), (819, 10), (4096, 2), (8192, 1)])
+    def test_vdot_bits_up_to_a_chunk(self, rng, shape):
+        assert shape[0] * shape[1] <= _DOT_CHUNK
+        u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+        assert _dot(u, u) == float(np.vdot(u, u))
+        assert _dot(u, v) == float(np.vdot(u, v))
+        assert type(_dot(u, v)) is float
+
+    @pytest.mark.parametrize("shape", [(2000, 10), (8193, 1), (5000, 7), (10007, 3), (40000, 5)])
+    def test_squared_norm_above_a_chunk(self, rng, shape):
+        g = rng.standard_normal(shape) * np.exp(rng.uniform(-3.0, 3.0, shape))
+        exact = math.fsum((g * g).ravel())
+        assert abs(_dot(g, g) - exact) <= 1e-15 * exact
