@@ -36,7 +36,7 @@ from .errors import CertificationError, ConfigError, ViterbiParError
 from .models.likelihoods import GaussianEmission
 from .models.signals import HuberNonlinearSignal, LinearGaussianSignal
 from .models.spec import _NEURAL, ModelSpec, simulate
-from .objective import BOUNDARY_MODES, eval_U, grad_U
+from .objective import BOUNDARY_MODES, FullObjective
 from .oracles import finite_diff_grad, rts_smoother
 from .parallel import solve_parallel, sweep_delta
 from .solver import STEP_MODES, SolverConfig, solve_map
@@ -113,7 +113,7 @@ def solver_options(fn):
         return fn(*args, config=config, **kwargs)
 
     wrapper = click.option("--step-mode", type=click.Choice(STEP_MODES), default=SolverConfig.step_mode, show_default=True)(wrapper)
-    wrapper = click.option("--step-size", type=float, default=SolverConfig.step_size, show_default=True, help="fixed step, or initial trial step when backtracking")(wrapper)
+    wrapper = click.option("--step-size", type=float, default=SolverConfig.step_size, show_default=True, help="the fixed mode's step; the adaptive mode reads none")(wrapper)
     wrapper = click.option("--max-iters", type=int, default=SolverConfig.max_iters, show_default=True)(wrapper)
     wrapper = click.option("--grad-tol", type=float, default=SolverConfig.grad_tol, help="stop when the gradient's 2-norm falls below this")(wrapper)
     return wrapper
@@ -305,13 +305,16 @@ def verify_cmd(model_path, obs_path, points, seed, lambda_g):
     rng = np.random.default_rng(seed)
     checks = {}
 
+    # one objective serves every value and gradient of the check
+    objective = FullObjective(model)
+    eval_U, grad_U = objective.value, objective.grad
     worst = 0.0
     for _ in range(points):
         x = PathVector(rng.standard_normal((model.horizon + 1, model.dim)))
-        fd = finite_diff_grad(lambda p: eval_U(model, p), x, epsilon=1e-6)
-        an = grad_U(model, x)
+        fd = finite_diff_grad(lambda p: eval_U(p.blocks), x, epsilon=1e-6)
+        an = grad_U(x.blocks)
         denom = max(float(np.linalg.norm(fd.blocks)), 1e-12)
-        worst = max(worst, float(np.linalg.norm(an.blocks - fd.blocks)) / denom)
+        worst = max(worst, float(np.linalg.norm(an - fd.blocks)) / denom)
     checks["gradient_vs_finite_difference"] = {"worst_rel_error": worst, "pass": worst <= 1e-5}
 
     if isinstance(model.signal, LinearGaussianSignal) and isinstance(

@@ -42,18 +42,17 @@ def _chi_linear_gaussian(signal: LinearGaussianSignal, emission: GaussianEmissio
     beta_n + chi r / gamma a valid eta bound at every radius the
     certificates evaluate (r >= beta_n / lambda^2); no finite constant can
     make it valid for r -> 0 on nonzero data, which the bound evaluators
-    document.
+    document. Blocks that overflow give ``inf``, without a numpy warning.
     """
     Si = signal.Sigma_inv
     A = signal.A
     CtRC = emission.CtRinvC
-    AtSiA = A.T @ Si @ A
-    m = max(
-        _opnorm(Si @ A),
-        _opnorm(Si + AtSiA + CtRC),
-        _opnorm(signal.Sigma0_inv + AtSiA + CtRC),
-        _opnorm(Si + CtRC),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        AtSiA = A.T @ Si @ A
+        blocks = [Si @ A, Si + AtSiA + CtRC, signal.Sigma0_inv + AtSiA + CtRC, Si + CtRC]
+    if not all(np.all(np.isfinite(B)) for B in blocks):
+        return math.inf
+    m = max(map(_opnorm, blocks))
     return 6.0 * m * m
 
 
@@ -66,8 +65,9 @@ class ModelSpec:
     spiking families it defaults to the spike array the family carries.
     ``chi`` is the quadratic-growth constant enabling the chi-based
     bounds; it is filled in automatically for the conjugate
-    linear-Gaussian / Gaussian-emission model and may be supplied by the
-    user otherwise, as a finite nonnegative number.
+    linear-Gaussian / Gaussian-emission model when it comes out finite,
+    and may be supplied by the user otherwise, as a finite nonnegative
+    number.
     """
 
     signal: object
@@ -107,7 +107,9 @@ class ModelSpec:
         if self.chi is None and isinstance(self.signal, LinearGaussianSignal) and isinstance(
             self.likelihood, GaussianEmission
         ):
-            self.chi = _chi_linear_gaussian(self.signal, self.likelihood)
+            chi = _chi_linear_gaussian(self.signal, self.likelihood)
+            # an overflowing chi bounds nothing: the chi bounds say they need one
+            self.chi = chi if math.isfinite(chi) else None
 
     # -- shapes -----------------------------------------------------------
 

@@ -1,14 +1,16 @@
 """First-order MAP solvers.
 
 Fixed-step gradient descent is the canonical method (explicit Euler on
-the gradient flow of the objective); an Armijo backtracking variant is
-the default for user runs since a good fixed step is data-scale
-specific. Once its sufficient-decrease test falls below floating-point
-resolution, the backtracking variant coasts on fixed steps that carry
-Nesterov momentum (Nesterov 1983) with gradient-based adaptive restart
-(O'Donoghue and Candes, Found. Comput. Math. 2015); the returned point
-meets the same stopping rule. Convergence is declared on the gradient's
-2-norm, which bounds its norm under every discount gamma <= 1.
+the gradient flow of the objective). The default for user runs is an
+adaptive step, since a good fixed step is data-scale specific: Malitsky
+and Mishchenko's step (Adaptive gradient descent without descent, ICML
+2020), which bounds each step by a secant estimate of the local
+curvature from the last two gradients, with Nesterov momentum (Nesterov
+1983) and gradient-based adaptive restart (O'Donoghue and Candes, Found.
+Comput. Math. 2015) on every step. Neither mode calls the objective's
+value inside its loop, and neither promises that the value decreases.
+Convergence is declared on the gradient's 2-norm, which bounds its norm
+under every discount gamma <= 1.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .errors import ConfigError, DivergenceError, ShapeError
 from .models.spec import ModelSpec
 from .objective import FullObjective, WindowedObjective
 
-_EPS = float(np.finfo(float).eps)
-_ARMIJO_C = 1e-4  # sufficient-decrease constant of the backtracking line search
 # elements per BLAS dot product: OpenBLAS runs ddot on one thread up to
 # 10,000 elements, so no chunk wakes its thread pool
 _DOT_CHUNK = 8192
-STEP_MODES = ("fixed", "backtracking")
+STEP_MODES = ("fixed", "adaptive")
 
 __all__ = [
     "SolverConfig",
@@ -45,14 +45,15 @@ __all__ = [
 class SolverConfig:
     """Settings for the gradient solvers.
 
-    ``step_size`` is the fixed step in fixed mode and the initial trial
-    step in backtracking mode. ``grad_tol`` stops the iteration once the
-    gradient's 2-norm, which bounds its norm under every discount, falls
-    below it; the default None scales a 1e-8 floor with the square root
-    of the path length. The defaults are the CLI's too.
+    ``step_size`` is the fixed mode's step; the adaptive mode measures its
+    steps from the gradients and reads no step size. ``grad_tol`` stops
+    the iteration once the gradient's 2-norm, which bounds its norm under
+    every discount, falls below it; the default None scales a 1e-8 floor
+    with the square root of the path length. The defaults are the CLI's
+    too.
     """
 
-    step_mode: str = "backtracking"
+    step_mode: str = "adaptive"
     step_size: float = 1.0
     max_iters: int = 20_000
     grad_tol: float | None = None
@@ -87,13 +88,10 @@ class SolveReport:
     normally with ``converged`` false, and ``stop_reason`` names the rule
     that ended it: ``"tolerance"`` or ``"max_iters"``.
     ``grad_evals`` and ``value_evals`` count the objective's gradient and
-    value calls, including the final point's value. In backtracking mode
-    ``halvings`` counts the rejected trial steps and ``coasting_steps`` the
-    steps taken without a sufficient-decrease test, so that
-    ``value_evals == 2 + iterations - coasting_steps + halvings``.
-    Coasting steps carry restarted momentum, and ``restarts`` counts those
-    whose momentum the gradient test reset. All three are zero in fixed
-    mode.
+    value calls: ``iterations + 1`` gradients and one value, the returned
+    point's. Adaptive steps carry restarted momentum, and ``restarts``
+    counts those whose momentum the gradient test reset; it is zero in
+    fixed mode.
     """
 
     solution: PathVector
@@ -105,8 +103,6 @@ class SolveReport:
     grad_evals: int
     value_evals: int
     stop_reason: str
-    halvings: int
-    coasting_steps: int
     restarts: int
 
     def to_dict(self) -> dict:
@@ -131,45 +127,35 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
     """Shared descent loop for full and windowed objectives.
 
-    ``objective.grad`` returns a fresh array, so the fixed-step update
-    may scale it in place and subtract it from ``x``, the loop's own copy.
-    A coasting step of backtracking mode likewise turns it into the step's
-    momentum in place: the loop holds one momentum array, and ``x`` is
-    the extrapolated point whose gradient the next pass evaluates. The
-    momentum restarts (no extrapolation) on entry to each coasting phase
-    and whenever it points uphill, ``<g, x_new - x_last> > 0``
-    (O'Donoghue and Candes' gradient restart).
-    The stopping norm is the gradient's dot product with itself, taken by
-    ``_dot`` in single-threaded BLAS chunks; its value also serves the
-    backtracking tests, and ``_dot`` takes the restart test's <g, v> too.
-    The loop tests trial values and gradients for non-finite entries
-    itself, so numpy's overflow and invalid-value warnings are silenced.
+    ``y`` is the point whose gradient each pass takes, and the point
+    returned. ``objective.grad`` returns a fresh array, so the fixed-step
+    update may scale it in place and subtract it from ``y``, the loop's
+    own copy. An adaptive step goes to x_new = y - h g with
+    h = min(sqrt(1 + theta) h_last, |y - y_last| / (2 |g - g_last|)) and
+    theta = h / h_last. The first step has length 1e-6 max(1, |y|) and
+    theta starts infinite, so the second step is a pure secant estimate.
+    Each step then extrapolates y = x_new + beta (x_new - x) with
+    beta = (k - 1) / (k + 2), and k restarts when the step points uphill,
+    <g, x_new - x> > 0 (O'Donoghue and Candes' gradient restart). The
+    adaptive steps keep their own arrays, so that y_last and g_last
+    survive the step.
+    Every dot product, the stopping norm's g.g included, is taken by
+    ``_dot`` in single-threaded BLAS chunks. The loop tests gradients for
+    non-finite entries itself, so numpy's overflow and invalid-value
+    warnings are silenced.
     """
     t_start = time.perf_counter()
-    x = np.array(init, dtype=float)
-    tol = config.resolved_tol(x.shape[0])
+    y = np.array(init, dtype=float)
+    tol = config.resolved_tol(y.shape[0])
 
-    backtracking = config.step_mode == "backtracking"
+    adaptive = config.step_mode == "adaptive"
     h = config.step_size
-    grad_evals = value_evals = halvings = coasting_steps = restarts = 0
-    fx = None
-    if backtracking:
-        fx = objective.value(x)
-        value_evals += 1
-        if not math.isfinite(fx):
-            raise DivergenceError("objective not finite at the initial point", iteration=0)
-
-    iterations = 0
-    grow = False  # grow the trial step only after a clean first-trial accept
-    coasting = False
-    v = None  # momentum of the coasting steps
-    accepted_any = False  # coasting may only trust a step the search accepted
+    grad_evals = restarts = iterations = 0
     # at most max_iters steps; the last pass only measures the final gradient
     for it in range(config.max_iters + 1):
-        g = objective.grad(x)
+        g = objective.grad(y)
         grad_evals += 1
-        g_sq = _dot(g, g)
-        gnorm = math.sqrt(g_sq)
+        gnorm = math.sqrt(_dot(g, g))
         # a finite gradient can only have a non-finite norm by overflow
         if not math.isfinite(gnorm) and not np.all(np.isfinite(g)):
             raise DivergenceError(
@@ -179,76 +165,45 @@ def _descend(objective, config: SolverConfig, init: np.ndarray) -> SolveReport:
         if gnorm <= tol or it == config.max_iters:
             break
         iterations = it + 1
-        if backtracking:
-            if accepted_any and _ARMIJO_C * h * g_sq <= 8.0 * _EPS * max(1.0, abs(fx)):
-                # the sufficient-decrease test is below floating resolution
-                # and would only measure rounding noise; coast on fixed
-                # steps at half the last accepted step, which is strictly
-                # inside the stable range that step certified. The steps
-                # carry restarted Nesterov momentum: x_new = x - h g, then
-                # x = x_new + beta v with v = x_new - x_last and
-                # beta = (k - 1) / (k + 2), so that x_last = x - beta v
-                if not coasting:
-                    h *= 0.5
-                    coasting = True
-                    k, beta = 0, 0.0  # no momentum carries into a coasting phase
-                coasting_steps += 1
-                # restart when the new momentum beta v - h g points uphill
-                restart = beta > 0 and beta * _dot(g, v) > h * g_sq
-                g *= -h
-                x += g
-                if beta:
-                    v *= beta
-                    g += v
-                v = g  # the gradient's own array now holds the momentum
-                restarts += restart
-                k = 1 if restart else k + 1
-                beta = (k - 1) / (k + 2)
-                if beta:
-                    x += beta * v
-                continue
-            coasting, v = False, None  # hold no momentum array across tested steps
-            if grow:
-                h = min(h * 2.0, config.step_size)
-            rejected = 0
-            while True:
-                x_new = x - h * g
-                f_new = objective.value(x_new)
-                value_evals += 1
-                if math.isfinite(f_new) and f_new <= fx - _ARMIJO_C * h * g_sq:
-                    break
-                h *= 0.5
-                rejected += 1
-                if h < 1e-300:
-                    raise DivergenceError(
-                        f"backtracking step underflow at iteration {it}", iteration=it
-                    )
-            halvings += rejected
-            grow = rejected == 0
-            accepted_any = True
-            # the Armijo test above gives f_new <= fx: the objective does
-            # not increase across accepted steps
-            x, fx = x_new, f_new
-        else:
+        if not adaptive:
             g *= h
-            x -= g
+            y -= g
+            continue
+        if it == 0:
+            x, k = y, 0
+            h, theta = 1e-6 * max(1.0, math.sqrt(_dot(y, y))) / gnorm, math.inf
+        else:
+            dy, dg = y - y_last, g - g_last
+            dg_norm = math.sqrt(_dot(dg, dg))
+            secant = math.sqrt(_dot(dy, dy)) / (2.0 * dg_norm) if dg_norm else math.inf
+            # a gradient that has not changed since the first step bounds
+            # no step: keep the last one
+            h_new = min(math.sqrt(1.0 + theta) * h, secant)
+            if h_new == math.inf:
+                h_new = h
+            h, theta = h_new, h_new / h
+        y_last, g_last = y, g
+        x_new = y - h * g
+        v = x_new - x
+        restart = _dot(g, v) > 0
+        restarts += restart
+        k = 1 if restart else k + 1
+        beta = (k - 1) / (k + 2)
+        x, y = x_new, x_new + beta * v if beta else x_new
 
-    f_final = objective.value(x)
-    value_evals += 1
+    f_final = objective.value(y)
     if not math.isfinite(f_final):
         raise DivergenceError("objective not finite at the final point", iteration=iterations)
     return SolveReport(
-        solution=PathVector(x),
+        solution=PathVector(y),
         iterations=iterations,
         final_grad_norm=gnorm,
         objective_value=float(f_final),
         wall_clock_seconds=time.perf_counter() - t_start,
         converged=gnorm <= tol,
         grad_evals=grad_evals,
-        value_evals=value_evals,
+        value_evals=1,
         stop_reason="tolerance" if gnorm <= tol else "max_iters",
-        halvings=halvings,
-        coasting_steps=coasting_steps,
         restarts=restarts,
     )
 

@@ -2,10 +2,9 @@
 quadratic form, single-index beta and eta, reference local gradients and
 fields, reference spike-coupling kernels, the enumerated normalizer of
 the exact spiking family, a reference decay-convexity sampler, the
-csv-module writers and readers that the bulk CSV I/O must match, the
-backtracking descent with momentum-free coasting steps, a dying segment
-solve, and a session-end check that no worker process outlives
-the suite."""
+csv-module writers and readers that the bulk CSV I/O must match, a
+per-step reference of the adaptive descent, a dying segment solve, and
+a session-end check that no worker process outlives the suite."""
 
 import csv
 import itertools
@@ -454,45 +453,44 @@ def neural_model(N=3, R=2, n=6, seed=4, exact=False, spikes=None, signal=None):
     return ModelSpec(signal, lik, observations=None)
 
 
-def reference_backtracking_descent(objective, config):
-    """The backtracking descent from the zero path with plain coasting
-    steps: Armijo-tested steps, then, once the sufficient-decrease test is
-    below floating-point resolution, fixed steps at half the last accepted
-    step with no momentum. Returns the path, the number of steps and the
-    number of coasting steps."""
-    eps = float(np.finfo(float).eps)
-    x = np.zeros((objective.n_blocks, objective.dim))
+def reference_adaptive_descent(objective, config):
+    """The adaptive descent from the zero path, one step at a time and
+    with fresh arrays throughout: Malitsky and Mishchenko's step
+    h_k = min(sqrt(1 + theta_{k-1}) h_{k-1}, |y_k - y_{k-1}| / (2 |g_k - g_{k-1}|))
+    with theta_k = h_k / h_{k-1}, a first step of length 1e-6 max(1, |x_0|)
+    along -g_0, then x_{k+1} = y_k - h_k g_k and
+    y_{k+1} = x_{k+1} + beta (x_{k+1} - x_k), beta = (j - 1) / (j + 2), where
+    j counts the steps since the last one with <g_k, x_{k+1} - x_k> > 0.
+    Returns the last gradient point, the number of steps and of restarts."""
+    x = y = np.zeros((objective.n_blocks, objective.dim))
     tol = config.resolved_tol(objective.n_blocks)
-    h, fx = config.step_size, objective.value(x)
-    grow = coasting = accepted_any = False
-    coasting_steps = 0
+    steps = []  # (y_k, g_k, h_k) of every step taken
+    j = restarts = 0
     for it in range(config.max_iters + 1):
-        g = objective.grad(x)
-        g_sq = float(np.vdot(g, g))
-        if math.sqrt(g_sq) <= tol or it == config.max_iters:
+        g = objective.grad(y)
+        gnorm = math.sqrt(float(np.vdot(g, g)))
+        if gnorm <= tol or it == config.max_iters:
             break
-        if accepted_any and 1e-4 * h * g_sq <= 8.0 * eps * max(1.0, abs(fx)):
-            if not coasting:
-                h *= 0.5
-                coasting = True
-            coasting_steps += 1
-            x = x - h * g
-            continue
-        coasting = False
-        if grow:
-            h = min(h * 2.0, config.step_size)
-        rejected = 0
-        while True:
-            x_new = x - h * g
-            f_new = objective.value(x_new)
-            if math.isfinite(f_new) and f_new <= fx - 1e-4 * h * g_sq:
-                break
-            h *= 0.5
-            rejected += 1
-        grow = rejected == 0
-        accepted_any = True
-        x, fx = x_new, f_new
-    return x, it, coasting_steps
+        if not steps:
+            h = 1e-6 * max(1.0, math.sqrt(float(np.vdot(x, x)))) / gnorm
+        else:
+            y_last, g_last, h_last = steps[-1]
+            dy, dg = y - y_last, g - g_last
+            secant = math.sqrt(float(np.vdot(dy, dy))) / (2.0 * math.sqrt(float(np.vdot(dg, dg))))
+            if len(steps) == 1:
+                h = secant  # theta_0 is infinite
+            else:
+                theta = h_last / steps[-2][2]
+                h = min(math.sqrt(1.0 + theta) * h_last, secant)
+        steps.append((y, g, h))
+        x_new = y - h * g
+        uphill = float(np.vdot(g, x_new - x)) > 0
+        restarts += uphill
+        j = 1 if uphill else j + 1
+        beta = (j - 1) / (j + 2)
+        y = x_new + beta * (x_new - x) if beta else x_new
+        x = x_new
+    return y, it, restarts
 
 
 def exit_at_once(objective, config):

@@ -297,6 +297,25 @@ class TestBounds:
             viterbi_distance_bound_eta(model, cert, 3, 20)
         assert math.isfinite(viterbi_distance_bound_eta(dataclasses.replace(model, chi=1.0), cert, 3, 20))
 
+    def test_overflowing_automatic_chi_is_left_unset(self):
+        # the conjugate Hessian blocks of a 1e-308 transition covariance
+        # overflow: no finite chi comes out, quietly, and the chi bounds say
+        # they need one
+        eye = np.eye(2)
+        sig = LinearGaussianSignal(0.9 * eye, 0.0, 1e-308 * eye, 0.0, eye)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = ModelSpec(sig, GaussianEmission(eye, eye), observations=np.ones((6, 2)))
+        assert model.chi is None
+        cert = _bound_cert(0.5, 0.2)
+        with pytest.raises(UnsupportedBoundError, match="chi is unset"):
+            viterbi_distance_bound_eta(model, cert, 1, 4)
+        with pytest.raises(CertificationError, match="needs model.chi"):
+            viterbi_distance_bound_chi(model, cert, 1, 4)
+        # a finite one is still filled in
+        assert math.isfinite(ModelSpec(lg_signal(d=2), GaussianEmission(eye, eye),
+                                       observations=np.ones((6, 2))).chi)
+
     def test_eta_route_zero_data(self):
         model = gaussian_model_with_obs(np.zeros(30), a=0.0)
         model.chi = 1.0

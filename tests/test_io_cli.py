@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import viterbipar
-from viterbipar import ModelSpec, PathVector
+from viterbipar import ModelSpec
 from viterbipar import errors
 from viterbipar import io as vio
 from viterbipar.cli import main
@@ -247,7 +247,7 @@ class TestCli:
         assert report["final_grad_norm"] <= 1e-10
         assert report["converged"] is True
         assert report["grad_evals"] == report["iterations"] + 1
-        assert report["value_evals"] >= 2
+        assert report["value_evals"] == 1
         sol = vio.read_table_csv(out / "solution.csv", "x")
         assert sol.shape == (51, 1)
 
@@ -266,7 +266,7 @@ class TestCli:
         assert len(segments) == 2
         assert all(seg["converged"] is False for seg in segments)
         assert all(seg["grad_evals"] == 3 for seg in segments)
-        assert all(seg["value_evals"] >= 3 for seg in segments)
+        assert all(seg["value_evals"] == 1 for seg in segments)
 
     def test_stop_reason_and_search_counts_reported(self, runner, tmp_path):
         cfg = write_lg_config(tmp_path / "m.json")
@@ -279,9 +279,10 @@ class TestCli:
                                   "--l", "2", "--delta", "3", "--max-iters", "2", "--grad-tol", "1e-12"])
         assert r1.exit_code == 0 and r2.exit_code == 0, r1.output + r2.output
         for entry in [json.loads(r1.output)] + json.loads(r2.output)["per_segment"]:
-            # backtracking: the start and final values, one per tested step and halving
-            assert entry["value_evals"] == (2 + entry["iterations"] - entry["coasting_steps"]
-                                            + entry["halvings"])
+            # adaptive steps test no value: one gradient per step plus the
+            # final one, and the returned point's value
+            assert entry["grad_evals"] == entry["iterations"] + 1
+            assert entry["value_evals"] == 1
         assert json.loads(r1.output)["stop_reason"] == "tolerance"
         assert [seg["stop_reason"] for seg in json.loads(r2.output)["per_segment"]] == ["max_iters"] * 2
 
@@ -692,11 +693,36 @@ class TestCli:
         assert payload["checks"]["solver_vs_exact_smoother"]["pass"]
         assert payload["checks"]["decay_convexity_slack"]["pass"]
 
+    def test_verify_builds_one_objective(self, runner, tmp_path, monkeypatch):
+        # every value and gradient of the finite-difference check comes
+        # from one objective, so a conjugate model builds one stencil
+        import viterbipar.cli as cli
+
+        built = []
+
+        class Counted(cli.FullObjective):
+            def __init__(self, model):
+                super().__init__(model)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "FullObjective", Counted)
+        cfg = write_lg_config(tmp_path / "m.json", a=0.5)
+        sim = tmp_path / "sim"
+        runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "12", "--seed", "6", "--out", str(sim)])
+        r = runner.invoke(main, ["verify", "--model", str(cfg), "--obs", str(sim / "observations.csv"),
+                                 "--points", "4"])
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.output)["checks"]["gradient_vs_finite_difference"]["pass"]
+        assert len(built) == 1
+
     def test_verify_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
         import viterbipar.cli as cli
 
-        real_grad_U = cli.grad_U
-        monkeypatch.setattr(cli, "grad_U", lambda model, x: PathVector(1.01 * real_grad_U(model, x).blocks))
+        class Skewed(cli.FullObjective):
+            def grad(self, xs):
+                return 1.01 * super().grad(xs)
+
+        monkeypatch.setattr(cli, "FullObjective", Skewed)
         cfg = write_lg_config(tmp_path / "m.json", a=0.5)
         sim = tmp_path / "sim"
         runner.invoke(main, ["simulate", "--model", str(cfg), "--n", "12", "--seed", "6", "--out", str(sim)])
@@ -747,12 +773,20 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [("--step-size", "inf"), ("--grad-tol", "nan"),
                                              ("--grad-tol", "inf")])
     def test_non_finite_step_or_tolerance_exits_2(self, runner, tmp_path, flag, value):
-        # an infinite trial step halves to itself, so the line search never ends
+        # checked in every mode: an infinite fixed step sends the first iterate
+        # to infinity
         r = _run_cli(_simulated_solve_args(runner, tmp_path) + [flag, value])
         assert r.returncode == 2, r.stderr
         lines = r.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("configuration error:")
         assert flag[2:].replace("-", "_") in lines[0]
+        assert not (tmp_path / "x").exists()
+
+    def test_the_old_step_mode_name_exits_2(self, runner, tmp_path):
+        # the adaptive mode took the line search's place and its name
+        r = runner.invoke(main, _simulated_solve_args(runner, tmp_path) + ["--step-mode", "backtracking"])
+        assert r.exit_code == 2, r.output
+        assert "'backtracking' is not one of 'fixed', 'adaptive'" in r.output
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["solve", "solve-par", "sweep"])
@@ -766,7 +800,7 @@ class TestCli:
 
     @pytest.mark.parametrize("mode, want", [
         ("fixed", ["solver divergence: gradient became non-finite at iteration 2 (step too large?)"]),
-        ("backtracking", []),
+        ("adaptive", []),
     ])
     def test_descent_prints_no_numpy_warnings(self, runner, tmp_path, mode, want):
         r = _run_cli(_simulated_solve_args(runner, tmp_path)
@@ -833,7 +867,7 @@ class TestCli:
 
     def test_report_keys(self, runner, tmp_path):
         solve_keys = {"command", "iterations", "converged", "stop_reason", "grad_evals",
-                      "value_evals", "halvings", "coasting_steps", "restarts", "final_grad_norm",
+                      "value_evals", "restarts", "final_grad_norm",
                       "objective_value", "wall_clock_seconds", "solution"}
         args = _two_segment_args(runner, tmp_path, "solve-par")
         r = runner.invoke(main, args)

@@ -169,6 +169,23 @@ def test_one_descent_loop():
     assert looping == ["solver.py:_descend", "solver.py:estimate_grad_lipschitz"]
 
 
+def test_no_value_call_in_a_solver_loop():
+    # the step rules read gradients only; a value call inside a loop would
+    # bring back a line search's test, and the one value call is the
+    # returned point's
+    tree = ast.parse((Path(viterbipar.__file__).parent / "solver.py").read_text())
+
+    def value_calls(node):
+        return [call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute) and call.func.attr == "value"]
+
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                                  ast.GeneratorExp))]
+    assert len(value_calls(tree)) == 1
+    assert [line for loop in loops for line in value_calls(loop)] == []
+
+
 def test_one_dot_product_in_the_solver():
     # _dot keeps each BLAS dot product below OpenBLAS's threading cutoff;
     # an np.vdot call elsewhere in solver.py would run a long gradient's

@@ -57,7 +57,7 @@ def _window_slice_of(path):
         return SolveReport(solution=PathVector(path[a : b + 1]), iterations=0,
                            final_grad_norm=0.0, objective_value=0.0, wall_clock_seconds=0.0,
                            converged=True, grad_evals=1, value_evals=1,
-                           stop_reason="tolerance", halvings=0, coasting_steps=0, restarts=0)
+                           stop_reason="tolerance", restarts=0)
 
     return solve
 
